@@ -3,8 +3,8 @@
 //  1. Headline throughput: pipelined clients with client-side frame
 //     batching (many Query frames per write) against the sharded server
 //     over loopback UDS; reports decisions/sec and exact p50/p95/p99
-//     chunk-round-trip latency, plus the in-process batched-argmax cost as
-//     the no-transport floor.
+//     chunk-round-trip latency, plus the in-process batched-argmax cost
+//     (the kernel that builds the served action table on each load).
 //  2. Scaling curve: 1/2/4/8 clients x {uds, tcp, shm} transports, same
 //     pipelined load, one row each; the max-client cell per transport is
 //     the saturation point whose p99 is reported.
@@ -49,7 +49,6 @@ namespace {
 struct ClientStats {
   std::vector<double> latencies_s;
   std::uint64_t responses = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t safe_defaults = 0;
   bool dropped = false;  ///< connection died mid-run
 };
@@ -88,7 +87,6 @@ ClientStats run_pipelined_client(ClientT& client, std::size_t depth,
       const auto msg = client.recv_response();
       --inflight;
       ++stats.responses;
-      if (msg.flags & serve::kRespCacheHit) ++stats.cache_hits;
       if (msg.flags & serve::kRespSafeDefault) ++stats.safe_defaults;
       const auto it = samples.find(msg.request_id);
       if (it != samples.end()) {
@@ -126,7 +124,6 @@ struct RunResult {
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
-  double cache_hit_rate = 0.0;
   std::uint64_t responses = 0;
   std::uint64_t safe_defaults = 0;
   bool drops = false;
@@ -134,11 +131,9 @@ struct RunResult {
 
 RunResult summarize(std::vector<ClientStats>& per_client, double wall_s) {
   RunResult result;
-  std::uint64_t cache_hits = 0;
   std::vector<double> latencies;
   for (auto& stats : per_client) {
     result.responses += stats.responses;
-    cache_hits += stats.cache_hits;
     result.safe_defaults += stats.safe_defaults;
     result.drops = result.drops || stats.dropped;
     latencies.insert(latencies.end(), stats.latencies_s.begin(),
@@ -150,11 +145,6 @@ RunResult summarize(std::vector<ClientStats>& per_client, double wall_s) {
   result.p50_us = percentile_exact(latencies, 0.50) * 1e6;
   result.p95_us = percentile_exact(latencies, 0.95) * 1e6;
   result.p99_us = percentile_exact(latencies, 0.99) * 1e6;
-  result.cache_hit_rate =
-      result.responses > 0
-          ? static_cast<double>(cache_hits) /
-                static_cast<double>(result.responses)
-          : 0.0;
   return result;
 }
 
@@ -281,7 +271,8 @@ int main(int argc, char** argv) {
   const RunResult headline =
       run_cell("uds", conns, workers, depth, chunk, duration_s);
 
-  // No-transport floor: the in-process batched argmax the service wraps.
+  // In-process batched argmax, the kernel that builds the service's action
+  // table on every policy load.
   double direct_ns = 0.0;
   {
     serve::ServerConfig probe_config;
@@ -315,7 +306,6 @@ int main(int argc, char** argv) {
   table.add_row({"p50 chunk latency [us]", TextTable::num(headline.p50_us, 1)});
   table.add_row({"p95 chunk latency [us]", TextTable::num(headline.p95_us, 1)});
   table.add_row({"p99 chunk latency [us]", TextTable::num(headline.p99_us, 1)});
-  table.add_row({"cache hit rate", TextTable::percent(headline.cache_hit_rate)});
   table.add_row({"batched argmax [ns/decision]", TextTable::num(direct_ns, 1)});
   table.print();
   const bool meets_100k = headline.decisions_per_sec >= 100'000.0;
@@ -434,8 +424,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"p50_us\": %.2f,\n", headline.p50_us);
   std::fprintf(out, "    \"p95_us\": %.2f,\n", headline.p95_us);
   std::fprintf(out, "    \"p99_us\": %.2f,\n", headline.p99_us);
-  std::fprintf(out, "    \"cache_hit_rate\": %.4f,\n",
-               headline.cache_hit_rate);
   std::fprintf(out, "    \"connection_drops\": %s,\n",
                headline.drops ? "true" : "false");
   std::fprintf(out, "    \"meets_100k_target\": %s,\n",

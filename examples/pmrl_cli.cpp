@@ -29,10 +29,10 @@
 //       Run the HW-vs-SW decision-latency comparison.
 //   pmrl_cli serve [--policy policy.pmrl] [--registry DIR] [--uds PATH]
 //                  [--tcp-port N] [--shm PATH [--shm-lanes N]] [--workers N]
-//                  [--batch N] [--batch-deadline-us N] [--queue-capacity N]
-//                  [--cache-capacity N] [--metrics PATH|-] [--canary PCT]
-//                  [--candidate VERSION] [--canary-threshold X]
-//                  [--canary-window N] [--canary-settle N]
+//                  [--batch N] [--queue-capacity N] [--metrics PATH|-]
+//                  [--canary PCT] [--candidate VERSION]
+//                  [--canary-threshold X] [--canary-window N]
+//                  [--canary-settle N]
 //       Expose a trained policy as a decision service over a Unix-domain
 //       socket, TCP, and/or a shared-memory segment (for co-located
 //       clients). SIGHUP hot-reloads the checkpoint (transactional: a
@@ -78,10 +78,13 @@
 //       auto-normalized). Malformed inputs are rejected with the offending
 //       line number.
 //
-// Unknown flags or subcommands print usage and exit 2. --version prints the
-// library version and the subcommand roster.
+// Unknown flags or subcommands, and numbers that are not plain non-negative
+// decimals in range for their flag, print usage and exit 2. --version
+// prints the library version and the subcommand roster.
 
 #include <atomic>
+#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -94,7 +97,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -134,6 +139,24 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The one parser for every numeric flag value and positional: a leading
+/// digit, the whole token consumed, the value in range for T, and finite
+/// for floating point. So "-1", "12abc", "1x", "inf" and out-of-range
+/// values are usage errors instead of wrapped or truncated numbers.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  T value{};
+  bool ok = !text.empty() && std::isdigit(static_cast<unsigned char>(text[0]));
+  if (ok) {
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    ok = ec == std::errc{} && ptr == end;
+  }
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) throw UsageError("invalid number '" + text + "' for " + what);
+  return value;
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::size_t episodes = 60;
@@ -160,9 +183,7 @@ struct Args {
   std::size_t shm_lanes = 4;
   std::size_t workers = 4;
   std::size_t batch = 32;
-  std::size_t batch_deadline_us = 200;
   std::size_t queue_capacity = 1024;
-  std::size_t cache_capacity = 4096;
   std::uint32_t agent = 0;
   std::string policy_path;
   bool show_version = false;
@@ -203,24 +224,28 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) throw UsageError("missing value for " + arg);
       return argv[++i];
     };
+    auto parse_into = [&](auto& field) {
+      using T = std::remove_reference_t<decltype(field)>;
+      field = parse_number<T>(arg, next());
+    };
     if (arg == "--episodes") {
-      args.episodes = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.episodes);
     } else if (arg == "--seed") {
-      args.seed = std::stoull(next());
+      parse_into(args.seed);
     } else if (arg == "--duration") {
-      args.duration_s = std::stod(next());
+      parse_into(args.duration_s);
     } else if (arg == "--out") {
       args.out = next();
     } else if (arg == "--scenario") {
       args.scenario = next();
     } else if (arg == "--fault-intensity") {
-      args.fault_intensity = std::stod(next());
+      parse_into(args.fault_intensity);
     } else if (arg == "--fault-seed") {
-      args.fault_seed = std::stoull(next());
+      parse_into(args.fault_seed);
     } else if (arg == "--watchdog") {
       args.watchdog = true;
     } else if (arg == "--jobs") {
-      args.jobs = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.jobs);
       if (args.jobs == 0) throw UsageError("--jobs must be >= 1");
     } else if (arg == "--trace") {
       args.trace_path = next();
@@ -236,87 +261,83 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--host") {
       args.host = next();
     } else if (arg == "--tcp-port") {
-      args.tcp_port = std::stoi(next());
+      parse_into(args.tcp_port);
       if (args.tcp_port < 0 || args.tcp_port > 65535) {
         throw UsageError("--tcp-port must be in [0, 65535]");
       }
     } else if (arg == "--shm") {
       args.shm = next();
     } else if (arg == "--shm-lanes") {
-      args.shm_lanes = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.shm_lanes);
       if (args.shm_lanes == 0) throw UsageError("--shm-lanes must be >= 1");
     } else if (arg == "--workers") {
-      args.workers = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.workers);
       if (args.workers == 0) throw UsageError("--workers must be >= 1");
     } else if (arg == "--batch") {
-      args.batch = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.batch);
       if (args.batch == 0) throw UsageError("--batch must be >= 1");
-    } else if (arg == "--batch-deadline-us") {
-      args.batch_deadline_us = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--queue-capacity") {
-      args.queue_capacity = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.queue_capacity);
       if (args.queue_capacity == 0) {
         throw UsageError("--queue-capacity must be >= 1");
       }
-    } else if (arg == "--cache-capacity") {
-      args.cache_capacity = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--agent") {
-      args.agent = static_cast<std::uint32_t>(std::stoul(next()));
+      parse_into(args.agent);
     } else if (arg == "--policy") {
       args.policy_path = next();
     } else if (arg == "--actors") {
-      args.actors = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.actors);
       if (args.actors == 0) throw UsageError("--actors must be >= 1");
     } else if (arg == "--merge-seed") {
-      args.merge_seed = std::stoull(next());
+      parse_into(args.merge_seed);
     } else if (arg == "--registry") {
       args.registry = next();
     } else if (arg == "--canary") {
-      args.canary_pct = std::stod(next());
+      parse_into(args.canary_pct);
       if (args.canary_pct < 0.0 || args.canary_pct > 100.0) {
         throw UsageError("--canary must be in [0, 100]");
       }
     } else if (arg == "--candidate") {
-      args.candidate = std::stoull(next());
+      parse_into(args.candidate);
     } else if (arg == "--canary-threshold") {
-      args.canary_threshold = std::stod(next());
+      parse_into(args.canary_threshold);
       if (args.canary_threshold < 0.0) {
         throw UsageError("--canary-threshold must be >= 0");
       }
     } else if (arg == "--canary-window") {
-      args.canary_window = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.canary_window);
       if (args.canary_window == 0) {
         throw UsageError("--canary-window must be >= 1");
       }
     } else if (arg == "--canary-settle") {
-      args.canary_settle = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.canary_settle);
       if (args.canary_settle == 0) {
         throw UsageError("--canary-settle must be >= 1");
       }
     } else if (arg == "--runs") {
-      args.runs = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.runs);
       if (args.runs == 0) throw UsageError("--runs must be >= 1");
     } else if (arg == "--governor") {
       args.governor = next();
     } else if (arg == "--max-energy") {
-      args.max_energy_j = std::stod(next());
+      parse_into(args.max_energy_j);
     } else if (arg == "--max-violation-rate") {
-      args.max_violation_rate = std::stod(next());
+      parse_into(args.max_violation_rate);
     } else if (arg == "--max-peak-temp") {
-      args.max_peak_temp_c = std::stod(next());
+      parse_into(args.max_peak_temp_c);
     } else if (arg == "--shrink") {
       args.shrink = true;
     } else if (arg == "--corpus-dir") {
       args.corpus_dir = next();
       args.shrink = true;  // writing the corpus implies minimizing first
     } else if (arg == "--devices") {
-      args.devices = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.devices);
       if (args.devices == 0) throw UsageError("--devices must be >= 1");
     } else if (arg == "--block") {
-      args.block = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.block);
       if (args.block == 0) throw UsageError("--block must be >= 1");
     } else if (arg == "--budget") {
-      args.budget_w = std::stod(next());
+      parse_into(args.budget_w);
       if (!(args.budget_w > 0.0)) throw UsageError("--budget must be > 0 W");
     } else if (arg == "--budget-policy") {
       args.budget_policy = next();
@@ -324,12 +345,12 @@ Args parse(int argc, char** argv) {
         throw UsageError("--budget-policy must be uniform, demand, or rl");
       }
     } else if (arg == "--budget-groups") {
-      args.budget_groups = static_cast<std::size_t>(std::stoul(next()));
+      parse_into(args.budget_groups);
       if (args.budget_groups == 0) {
         throw UsageError("--budget-groups must be >= 1");
       }
     } else if (arg == "--budget-floor") {
-      args.budget_floor = std::stod(next());
+      parse_into(args.budget_floor);
       if (args.budget_floor < 0.0) {
         throw UsageError("--budget-floor must be >= 0");
       }
@@ -340,8 +361,8 @@ Args parse(int argc, char** argv) {
         throw UsageError("--budget-step expects TIME:WATTS");
       }
       budget::CapStep step;
-      step.time_s = std::stod(v.substr(0, colon));
-      step.cap_w = std::stod(v.substr(colon + 1));
+      step.time_s = parse_number<double>(arg, v.substr(0, colon));
+      step.cap_w = parse_number<double>(arg, v.substr(colon + 1));
       if (step.time_s < 0.0 || !(step.cap_w > 0.0)) {
         throw UsageError("--budget-step expects TIME >= 0 and WATTS > 0");
       }
@@ -454,7 +475,7 @@ int cmd_policy(const Args& args) {
     if (args.positional.size() < 3) {
       throw UsageError("policy " + verb + " needs a version number");
     }
-    return std::stoull(args.positional[2]);
+    return parse_number<std::uint64_t>("policy " + verb, args.positional[2]);
   };
 
   if (verb == "list") {
@@ -731,7 +752,9 @@ int cmd_eval(const Args& args) {
 
 int cmd_latency(const Args& args) {
   const std::size_t invocations =
-      args.positional.size() > 1 ? std::stoul(args.positional[1]) : 10000;
+      args.positional.size() > 1
+          ? parse_number<std::size_t>("latency", args.positional[1])
+          : 10000;
   hw::LatencyExperimentConfig config;
   const auto stream = hw::synthetic_stream(1024, invocations, args.seed);
   const auto result = hw::run_latency_experiment(config, 1024, 9, stream);
@@ -772,9 +795,7 @@ int cmd_serve(const Args& args) {
   config.shm_lanes = args.shm_lanes;
   config.workers = args.workers;
   config.batch_max = args.batch;
-  config.batch_deadline = std::chrono::microseconds(args.batch_deadline_us);
   config.queue_capacity = args.queue_capacity;
-  config.cache_capacity = args.cache_capacity;
   config.policy_path = args.policy_path;
   config.cluster_count = soc::default_mobile_soc_config().clusters.size();
   config.registry_dir = args.registry;
@@ -852,11 +873,11 @@ int cmd_query(const Args& args) {
     std::fprintf(stderr, "query needs a quantized state index\n");
     return 1;
   }
-  const std::uint64_t state = std::stoull(args.positional[1]);
+  const std::uint64_t state =
+      parse_number<std::uint64_t>("query", args.positional[1]);
   const auto show = [](const serve::Client::Result& result) {
-    std::printf("action %u%s%s%s\n", result.action,
+    std::printf("action %u%s%s\n", result.action,
                 result.safe_default ? " (safe-default)" : "",
-                result.cache_hit ? " (cached)" : "",
                 result.canary ? " (canary)" : "");
   };
   if (!args.shm.empty()) {
@@ -1178,9 +1199,8 @@ void print_usage(std::FILE* out) {
       "  latency [N] [--seed S]\n"
       "  serve  [--policy policy.pmrl] [--registry DIR] [--uds PATH]\n"
       "         [--tcp-port N] [--shm PATH [--shm-lanes N]] [--workers N]\n"
-      "         [--batch N] [--batch-deadline-us N] [--queue-capacity N]\n"
-      "         [--cache-capacity N] [--metrics PATH|-] [--canary PCT]\n"
-      "         [--candidate VERSION] [--canary-threshold X]\n"
+      "         [--batch N] [--queue-capacity N] [--metrics PATH|-]\n"
+      "         [--canary PCT] [--candidate VERSION] [--canary-threshold X]\n"
       "         [--canary-window N] [--canary-settle N]\n"
       "  query  <state> [--agent N]\n"
       "         (--uds PATH | --tcp-port N [--host H] | --shm PATH)\n"

@@ -2,16 +2,12 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace pmrl::obs {
 
 namespace {
 
-constexpr char kBinaryMagic[8] = {'P', 'M', 'R', 'L', 'O', 'B', 'S', '1'};
 /// Fixed CSV columns ahead of the per-cluster groups.
 constexpr std::size_t kFixedColumns = 16;
 constexpr std::size_t kClusterColumns = 5;
@@ -430,109 +426,6 @@ std::string trace_jsonl_line(const TraceEvent& event) {
 
 TraceEvent trace_from_jsonl_line(const std::string& line) {
   return JsonlParser(line).parse();
-}
-
-// ---- Binary ----------------------------------------------------------------
-
-namespace {
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in) throw std::runtime_error("trace: truncated binary stream");
-  return value;
-}
-
-}  // namespace
-
-void write_binary_trace(std::ostream& out,
-                        const std::vector<TraceEvent>& events) {
-  out.write(kBinaryMagic, sizeof kBinaryMagic);
-  write_pod(out, static_cast<std::uint64_t>(events.size()));
-  for (const TraceEvent& event : events) {
-    write_pod(out, static_cast<std::uint8_t>(event.kind));
-    write_pod(out, event.epoch);
-    write_pod(out, event.time_s);
-    write_pod(out, event.index);
-    write_pod(out, event.state);
-    write_pod(out, event.action);
-    write_pod(out, event.reward);
-    write_pod(out, event.energy_j);
-    write_pod(out, event.total_energy_j);
-    write_pod(out, event.quality);
-    write_pod(out, event.violations);
-    write_pod(out, event.releases);
-    write_pod(out, event.power_w);
-    write_pod(out, event.latency_s);
-    write_pod(out, event.value);
-    write_pod(out, static_cast<std::uint32_t>(event.detail.size()));
-    out.write(event.detail.data(),
-              static_cast<std::streamsize>(event.detail.size()));
-    write_pod(out, static_cast<std::uint32_t>(event.clusters.size()));
-    for (const ClusterSample& s : event.clusters) {
-      write_pod(out, s.opp_index);
-      write_pod(out, s.freq_hz);
-      write_pod(out, s.util_avg);
-      write_pod(out, s.energy_j);
-      write_pod(out, s.temp_c);
-    }
-  }
-}
-
-std::vector<TraceEvent> read_binary_trace(std::istream& in) {
-  char magic[sizeof kBinaryMagic];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof magic) != 0) {
-    throw std::runtime_error("trace: bad binary magic");
-  }
-  const auto count = read_pod<std::uint64_t>(in);
-  std::vector<TraceEvent> events;
-  events.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TraceEvent event;
-    const auto kind = read_pod<std::uint8_t>(in);
-    if (kind > static_cast<std::uint8_t>(EventKind::Rollout)) {
-      throw std::runtime_error("trace: bad binary event kind");
-    }
-    event.kind = static_cast<EventKind>(kind);
-    event.epoch = read_pod<std::uint64_t>(in);
-    event.time_s = read_pod<double>(in);
-    event.index = read_pod<std::uint32_t>(in);
-    event.state = read_pod<std::uint64_t>(in);
-    event.action = read_pod<std::uint32_t>(in);
-    event.reward = read_pod<double>(in);
-    event.energy_j = read_pod<double>(in);
-    event.total_energy_j = read_pod<double>(in);
-    event.quality = read_pod<double>(in);
-    event.violations = read_pod<std::uint64_t>(in);
-    event.releases = read_pod<std::uint64_t>(in);
-    event.power_w = read_pod<double>(in);
-    event.latency_s = read_pod<double>(in);
-    event.value = read_pod<double>(in);
-    const auto detail_len = read_pod<std::uint32_t>(in);
-    event.detail.resize(detail_len);
-    in.read(event.detail.data(), detail_len);
-    if (!in) throw std::runtime_error("trace: truncated binary detail");
-    const auto n_clusters = read_pod<std::uint32_t>(in);
-    event.clusters.reserve(n_clusters);
-    for (std::uint32_t c = 0; c < n_clusters; ++c) {
-      ClusterSample s;
-      s.opp_index = read_pod<std::uint32_t>(in);
-      s.freq_hz = read_pod<double>(in);
-      s.util_avg = read_pod<double>(in);
-      s.energy_j = read_pod<double>(in);
-      s.temp_c = read_pod<double>(in);
-      event.clusters.push_back(s);
-    }
-    events.push_back(std::move(event));
-  }
-  return events;
 }
 
 }  // namespace pmrl::obs

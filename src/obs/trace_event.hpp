@@ -11,7 +11,6 @@
 // per-task trace is byte-identical to the serial run's.
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -111,14 +110,6 @@ std::string trace_jsonl_line(const TraceEvent& event);
 /// Parses a line produced by trace_jsonl_line; throws std::runtime_error on
 /// malformed input.
 TraceEvent trace_from_jsonl_line(const std::string& line);
-
-// ---- Binary format --------------------------------------------------------
-// Compact host-endian format ("PMRLOBS1" magic + record count + records),
-// used by the ring-buffered sink's dump.
-
-void write_binary_trace(std::ostream& out,
-                        const std::vector<TraceEvent>& events);
-std::vector<TraceEvent> read_binary_trace(std::istream& in);
 
 /// %.17g formatting used by every text serialization (round-trips exactly).
 std::string format_trace_double(double value);

@@ -6,21 +6,6 @@
 
 namespace pmrl::obs {
 
-std::vector<TraceEvent> RingTraceSink::snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) out.push_back(ring_[i]);
-  return out;
-}
-
-void RingTraceSink::save(std::ostream& out) const {
-  write_binary_trace(out, snapshot());
-}
-
-std::vector<TraceEvent> RingTraceSink::load(std::istream& in) {
-  return read_binary_trace(in);
-}
-
 CsvTraceSink::CsvTraceSink(std::ostream& out, std::size_t cluster_count)
     : out_(out),
       cluster_count_(cluster_count),

@@ -7,8 +7,6 @@
 //
 // Sinks:
 //   VectorTraceSink  unbounded in-memory buffer (tests, CLI, farm tasks)
-//   RingTraceSink    fixed-capacity ring keeping the LAST N events, with a
-//                    compact binary dump (flight-recorder for long runs)
 //   CsvTraceSink     streaming CSV rows over any std::ostream
 //   JsonlTraceSink   streaming JSON-object lines over any std::ostream
 
@@ -19,7 +17,6 @@
 
 #include "obs/trace_event.hpp"
 #include "util/csv.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace pmrl::obs {
 
@@ -42,35 +39,6 @@ class VectorTraceSink : public TraceSink {
 
  private:
   std::vector<TraceEvent> events_;
-};
-
-/// Flight recorder: ring buffer holding the last `capacity` events; older
-/// events are dropped (and counted). save() dumps the retained window in
-/// the compact binary trace format.
-class RingTraceSink : public TraceSink {
- public:
-  explicit RingTraceSink(std::size_t capacity) : ring_(capacity) {}
-
-  void record(const TraceEvent& event) override {
-    if (ring_.full()) ++dropped_;
-    ring_.push(event);
-  }
-
-  std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return ring_.capacity(); }
-  /// Events overwritten since construction.
-  std::size_t dropped() const { return dropped_; }
-
-  /// Retained events, oldest first.
-  std::vector<TraceEvent> snapshot() const;
-
-  /// Binary dump of the retained window (read back with load()).
-  void save(std::ostream& out) const;
-  static std::vector<TraceEvent> load(std::istream& in);
-
- private:
-  RingBuffer<TraceEvent> ring_;
-  std::size_t dropped_ = 0;
 };
 
 /// Streams events as CSV rows (header emitted with the first event). The

@@ -1,8 +1,13 @@
 #include "policy/registry.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -36,28 +41,53 @@ bool parse_u64(std::string_view text, std::uint64_t& value) {
   return result.ec == std::errc() && result.ptr == end;
 }
 
-/// Writes `content` to `path` atomically (tmp + rename). Throws
-/// std::runtime_error on any I/O failure.
+/// Closes a POSIX file descriptor on scope exit.
+struct ScopedFd {
+  explicit ScopedFd(int fd_in) : fd(fd_in) {}
+  ~ScopedFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  const int fd;
+};
+
+[[noreturn]] void fail_io(const std::string& what) {
+  throw std::runtime_error("registry: " + what + ": " + std::strerror(errno));
+}
+
+/// Writes `content` to `path` atomically and durably: write a tmp file,
+/// fsync it, rename it over `path`, then fsync the directory so the rename
+/// itself survives a crash. Throws std::runtime_error on any I/O failure.
 void atomic_write(const std::filesystem::path& path,
                   const std::string& content) {
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("registry: cannot open " + tmp.string());
+    const ScopedFd out(
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+    if (out.fd < 0) fail_io("cannot open " + tmp.string());
+    std::size_t off = 0;
+    while (off < content.size()) {
+      const ssize_t n =
+          ::write(out.fd, content.data() + off, content.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) fail_io("short write to " + tmp.string());
+      off += static_cast<std::size_t>(n);
     }
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("registry: short write to " + tmp.string());
-    }
+    if (::fsync(out.fd) != 0) fail_io("fsync " + tmp.string());
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     throw std::runtime_error("registry: rename " + tmp.string() + " -> " +
                              path.string() + ": " + ec.message());
+  }
+  const std::filesystem::path dir =
+      path.has_parent_path() ? path.parent_path() : ".";
+  const ScopedFd dir_fd(
+      ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (dir_fd.fd < 0 || ::fsync(dir_fd.fd) != 0) {
+    fail_io("fsync directory " + dir.string());
   }
 }
 

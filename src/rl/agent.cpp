@@ -78,10 +78,7 @@ void QLearningAgent::greedy_actions(const std::uint64_t* states,
                                     std::size_t count,
                                     std::uint32_t* actions) const {
   if (table_b_) {
-    batch_argmax_f64_mean2(
-        table_.data(), table_b_->data(), table_.actions(),
-        action_bias_.empty() ? nullptr : action_bias_.data(), states, count,
-        actions);
+    QAgent::greedy_actions(states, count, actions);
     return;
   }
   batch_argmax_f64(table_.data(), table_.actions(),

@@ -119,9 +119,8 @@ class QLearningAgent : public QAgent {
   /// otherwise.
   double q_value(std::size_t state, std::size_t action) const override;
   std::size_t greedy_action(std::size_t state) const override;
-  /// Batched via the AVX2/scalar kernels: the single-table algorithms use
-  /// the dense-store kernel, Double Q the two-table-mean kernel — both
-  /// bit-exact with the per-state combined-Q scan.
+  /// Single-table algorithms use the AVX2/scalar dense-store kernel,
+  /// bit-exact with the per-state scan; Double Q keeps the per-state loop.
   void greedy_actions(const std::uint64_t* states, std::size_t count,
                       std::uint32_t* actions) const override;
   double epsilon() const override { return epsilon_; }

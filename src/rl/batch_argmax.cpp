@@ -39,50 +39,6 @@ std::uint32_t argmax_prefix_f64(const double* row, const double* bias,
   return best;
 }
 
-void batch_argmax_f64_mean2_scalar(const double* a, const double* b,
-                                   std::size_t actions, const double* bias,
-                                   const std::uint64_t* states,
-                                   std::size_t count, std::uint32_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t base = static_cast<std::size_t>(states[i]) * actions;
-    std::uint32_t best = 0;
-    double best_value = 0.5 * (a[base] + b[base]) + (bias ? bias[0] : 0.0);
-    for (std::size_t act = 1; act < actions; ++act) {
-      const double v =
-          0.5 * (a[base + act] + b[base + act]) + (bias ? bias[act] : 0.0);
-      if (v > best_value) {
-        best_value = v;
-        best = static_cast<std::uint32_t>(act);
-      }
-    }
-    out[i] = best;
-  }
-}
-
-void batch_argmax_i64_scalar(const std::int64_t* values, std::size_t actions,
-                             const std::int64_t* bias_raw, std::int64_t raw_min,
-                             std::int64_t raw_max, const std::uint64_t* states,
-                             std::size_t count, std::uint32_t* out) {
-  const auto score = [&](std::int64_t q, std::size_t a) {
-    if (!bias_raw) return q;
-    const std::int64_t sum = q + bias_raw[a];  // both within a <=48-bit format
-    return sum > raw_max ? raw_max : (sum < raw_min ? raw_min : sum);
-  };
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t base = static_cast<std::size_t>(states[i]) * actions;
-    std::uint32_t best = 0;
-    std::int64_t best_value = score(values[base], 0);
-    for (std::size_t a = 1; a < actions; ++a) {
-      const std::int64_t v = score(values[base + a], a);
-      if (v > best_value) {
-        best_value = v;
-        best = static_cast<std::uint32_t>(a);
-      }
-    }
-    out[i] = best;
-  }
-}
-
 #if defined(PMRL_BATCH_ARGMAX_X86)
 
 namespace {
@@ -127,107 +83,6 @@ __attribute__((target("avx2"))) void batch_argmax_f64_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void batch_argmax_f64_mean2_avx2(
-    const double* a, const double* b, std::size_t actions, const double* bias,
-    const std::uint64_t* states, std::size_t count, std::uint32_t* out) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    alignas(32) long long base[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      base[lane] = static_cast<long long>(states[i + lane] * actions);
-    }
-    const __m256i vbase =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(base));
-    // Two gathers per action bank (one per table); the 0.5*(a+b)+bias score
-    // is formed in the scalar evaluation order so ties resolve identically.
-    __m256d best = _mm256_mul_pd(
-        _mm256_add_pd(_mm256_i64gather_pd(a, vbase, 8),
-                      _mm256_i64gather_pd(b, vbase, 8)),
-        half);
-    if (bias) best = _mm256_add_pd(best, _mm256_set1_pd(bias[0]));
-    __m256i best_idx = _mm256_setzero_si256();
-    for (std::size_t act = 1; act < actions; ++act) {
-      const __m256i idx = _mm256_add_epi64(
-          vbase, _mm256_set1_epi64x(static_cast<long long>(act)));
-      __m256d v = _mm256_mul_pd(
-          _mm256_add_pd(_mm256_i64gather_pd(a, idx, 8),
-                        _mm256_i64gather_pd(b, idx, 8)),
-          half);
-      if (bias) v = _mm256_add_pd(v, _mm256_set1_pd(bias[act]));
-      const __m256d gt = _mm256_cmp_pd(v, best, _CMP_GT_OQ);
-      best = _mm256_blendv_pd(best, v, gt);
-      best_idx = _mm256_blendv_epi8(
-          best_idx, _mm256_set1_epi64x(static_cast<long long>(act)),
-          _mm256_castpd_si256(gt));
-    }
-    alignas(32) long long lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best_idx);
-    for (int lane = 0; lane < 4; ++lane) {
-      out[i + lane] = static_cast<std::uint32_t>(lanes[lane]);
-    }
-  }
-  if (i < count) {
-    batch_argmax_f64_mean2_scalar(a, b, actions, bias, states + i, count - i,
-                                  out + i);
-  }
-}
-
-// Hoisted out of the kernel because GCC lambdas do not inherit the
-// enclosing function's target attribute.
-__attribute__((target("avx2"))) inline __m256i gather_score_i64(
-    const std::int64_t* values, __m256i vbase, std::size_t a,
-    const std::int64_t* bias_raw, __m256i vmin, __m256i vmax) {
-  const __m256i idx =
-      _mm256_add_epi64(vbase, _mm256_set1_epi64x(static_cast<long long>(a)));
-  __m256i q = _mm256_i64gather_epi64(
-      reinterpret_cast<const long long*>(values), idx, 8);
-  if (bias_raw) {
-    // FixedFormat::add: plain sum (no int64 overflow possible for a
-    // <=48-bit format) saturated to [raw_min, raw_max].
-    q = _mm256_add_epi64(q, _mm256_set1_epi64x(bias_raw[a]));
-    q = _mm256_blendv_epi8(q, vmax, _mm256_cmpgt_epi64(q, vmax));
-    q = _mm256_blendv_epi8(q, vmin, _mm256_cmpgt_epi64(vmin, q));
-  }
-  return q;
-}
-
-__attribute__((target("avx2"))) void batch_argmax_i64_avx2(
-    const std::int64_t* values, std::size_t actions,
-    const std::int64_t* bias_raw, std::int64_t raw_min, std::int64_t raw_max,
-    const std::uint64_t* states, std::size_t count, std::uint32_t* out) {
-  const __m256i vmin = _mm256_set1_epi64x(raw_min);
-  const __m256i vmax = _mm256_set1_epi64x(raw_max);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    alignas(32) long long base[4];
-    for (int lane = 0; lane < 4; ++lane) {
-      base[lane] = static_cast<long long>(states[i + lane] * actions);
-    }
-    const __m256i vbase =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(base));
-    __m256i best = gather_score_i64(values, vbase, 0, bias_raw, vmin, vmax);
-    __m256i best_idx = _mm256_setzero_si256();
-    for (std::size_t a = 1; a < actions; ++a) {
-      const __m256i v =
-          gather_score_i64(values, vbase, a, bias_raw, vmin, vmax);
-      const __m256i gt = _mm256_cmpgt_epi64(v, best);
-      best = _mm256_blendv_epi8(best, v, gt);
-      best_idx = _mm256_blendv_epi8(
-          best_idx, _mm256_set1_epi64x(static_cast<long long>(a)), gt);
-    }
-    alignas(32) long long lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best_idx);
-    for (int lane = 0; lane < 4; ++lane) {
-      out[i + lane] = static_cast<std::uint32_t>(lanes[lane]);
-    }
-  }
-  if (i < count) {
-    batch_argmax_i64_scalar(values, actions, bias_raw, raw_min, raw_max,
-                            states + i, count - i, out + i);
-  }
-}
-
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 }  // namespace
@@ -243,32 +98,6 @@ void batch_argmax_f64(const double* values, std::size_t actions,
   }
 }
 
-void batch_argmax_f64_mean2(const double* a, const double* b,
-                            std::size_t actions, const double* bias,
-                            const std::uint64_t* states, std::size_t count,
-                            std::uint32_t* out) {
-  static const bool avx2 = cpu_has_avx2();
-  if (avx2) {
-    batch_argmax_f64_mean2_avx2(a, b, actions, bias, states, count, out);
-  } else {
-    batch_argmax_f64_mean2_scalar(a, b, actions, bias, states, count, out);
-  }
-}
-
-void batch_argmax_i64(const std::int64_t* values, std::size_t actions,
-                      const std::int64_t* bias_raw, std::int64_t raw_min,
-                      std::int64_t raw_max, const std::uint64_t* states,
-                      std::size_t count, std::uint32_t* out) {
-  static const bool avx2 = cpu_has_avx2();
-  if (avx2) {
-    batch_argmax_i64_avx2(values, actions, bias_raw, raw_min, raw_max, states,
-                          count, out);
-  } else {
-    batch_argmax_i64_scalar(values, actions, bias_raw, raw_min, raw_max,
-                            states, count, out);
-  }
-}
-
 const char* batch_argmax_backend() {
   static const bool avx2 = cpu_has_avx2();
   return avx2 ? "avx2" : "scalar";
@@ -280,21 +109,6 @@ void batch_argmax_f64(const double* values, std::size_t actions,
                       const double* bias, const std::uint64_t* states,
                       std::size_t count, std::uint32_t* out) {
   batch_argmax_f64_scalar(values, actions, bias, states, count, out);
-}
-
-void batch_argmax_f64_mean2(const double* a, const double* b,
-                            std::size_t actions, const double* bias,
-                            const std::uint64_t* states, std::size_t count,
-                            std::uint32_t* out) {
-  batch_argmax_f64_mean2_scalar(a, b, actions, bias, states, count, out);
-}
-
-void batch_argmax_i64(const std::int64_t* values, std::size_t actions,
-                      const std::int64_t* bias_raw, std::int64_t raw_min,
-                      std::int64_t raw_max, const std::uint64_t* states,
-                      std::size_t count, std::uint32_t* out) {
-  batch_argmax_i64_scalar(values, actions, bias_raw, raw_min, raw_max, states,
-                          count, out);
 }
 
 const char* batch_argmax_backend() { return "scalar"; }

@@ -1,9 +1,10 @@
 #pragma once
-// Micro-batched greedy-action kernels for the serving hot path.
+// Micro-batched greedy-action kernel for the fleet's whole-block action
+// selection and the float agent's greedy_actions.
 //
-// Both kernels compute, for a batch of states, the argmax over the action
-// row of a dense row-major Q store — exactly the scan QTable::argmax /
-// FixedPointQAgent::greedy_action perform one state at a time. The layout
+// The kernel computes, for a batch of states, the argmax over the action
+// row of a dense row-major double Q store — exactly the scan
+// QTable::argmax performs one state at a time. The layout
 // mirrors the hardware datapath in src/hw: each action column is a BRAM
 // bank, a "gather" reads one bank for four states at once, and the running
 // strictly-greater compare is the comparator tree, so ties break toward the
@@ -13,7 +14,7 @@
 // otherwise the portable scalar loop runs. Both paths are exposed so the
 // parity test can diff them on the same inputs.
 //
-// Preconditions (not checked — the serve layer validates requests first):
+// Preconditions (not checked — callers index only valid states):
 // every states[i] < rows of the Q store, actions >= 1, bias is nullptr or
 // holds `actions` entries.
 
@@ -29,24 +30,6 @@ void batch_argmax_f64(const double* values, std::size_t actions,
                       const double* bias, const std::uint64_t* states,
                       std::size_t count, std::uint32_t* out);
 
-/// Batched argmax over the element-wise two-table mean of two row-major
-/// double Q stores — the Double Q-learning selection score. Each candidate
-/// is scored as 0.5 * (a[state*actions+act] + b[state*actions+act]) plus
-/// the optional per-action bias, in exactly that order, so results are
-/// bit-identical to the scalar combined-Q scan in QLearningAgent.
-void batch_argmax_f64_mean2(const double* a, const double* b,
-                            std::size_t actions, const double* bias,
-                            const std::uint64_t* states, std::size_t count,
-                            std::uint32_t* out);
-
-/// Batched argmax over raw fixed-point words. `bias_raw`, when non-null, is
-/// added with saturation to [raw_min, raw_max] — the same FixedFormat::add
-/// the scalar agent applies — before the signed compare.
-void batch_argmax_i64(const std::int64_t* values, std::size_t actions,
-                      const std::int64_t* bias_raw, std::int64_t raw_min,
-                      std::int64_t raw_max, const std::uint64_t* states,
-                      std::size_t count, std::uint32_t* out);
-
 /// Argmax over the first `allowed` actions of one Q row (`row[a]` plus the
 /// optional per-action bias), strict > so ties break toward the lowest
 /// index — the scalar scan restricted to a prefix of the action set. Used
@@ -56,17 +39,9 @@ void batch_argmax_i64(const std::int64_t* values, std::size_t actions,
 std::uint32_t argmax_prefix_f64(const double* row, const double* bias,
                                 std::size_t allowed);
 
-/// Forced-scalar variants (reference implementations for parity tests).
+/// Forced-scalar variant (reference implementation for parity tests).
 void batch_argmax_f64_scalar(const double* values, std::size_t actions,
                              const double* bias, const std::uint64_t* states,
-                             std::size_t count, std::uint32_t* out);
-void batch_argmax_f64_mean2_scalar(const double* a, const double* b,
-                                   std::size_t actions, const double* bias,
-                                   const std::uint64_t* states,
-                                   std::size_t count, std::uint32_t* out);
-void batch_argmax_i64_scalar(const std::int64_t* values, std::size_t actions,
-                             const std::int64_t* bias_raw, std::int64_t raw_min,
-                             std::int64_t raw_max, const std::uint64_t* states,
                              std::size_t count, std::uint32_t* out);
 
 /// Name of the dispatched implementation: "avx2" or "scalar".

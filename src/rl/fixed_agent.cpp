@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "rl/batch_argmax.hpp"
 
 namespace pmrl::rl {
 
@@ -70,15 +69,6 @@ std::size_t FixedPointQAgent::greedy_action(std::size_t state) const {
     }
   }
   return best;
-}
-
-void FixedPointQAgent::greedy_actions(const std::uint64_t* states,
-                                      std::size_t count,
-                                      std::uint32_t* actions) const {
-  batch_argmax_i64(q_raw_.data(), actions_,
-                   bias_raw_.empty() ? nullptr : bias_raw_.data(),
-                   format_.raw_min(), format_.raw_max(), states, count,
-                   actions);
 }
 
 void FixedPointQAgent::set_q_value(std::size_t state, std::size_t action,

@@ -38,10 +38,6 @@ class FixedPointQAgent : public QAgent {
   bool frozen() const override { return frozen_; }
   double q_value(std::size_t state, std::size_t action) const override;
   std::size_t greedy_action(std::size_t state) const override;
-  /// Batched via the AVX2/scalar raw-word kernel; bit-exact with
-  /// greedy_action (same saturating bias add, same tie-break).
-  void greedy_actions(const std::uint64_t* states, std::size_t count,
-                      std::uint32_t* actions) const override;
   double epsilon() const override;
   void set_action_bias(std::vector<double> bias) override;
   /// Quantizes into the agent's Q format.
@@ -53,8 +49,6 @@ class FixedPointQAgent : public QAgent {
 
   /// Raw Q word as stored in the (modeled) BRAM.
   std::int64_t q_raw(std::size_t state, std::size_t action) const;
-  /// Row-major raw Q storage, for batched kernels (rl/batch_argmax.hpp).
-  const std::int64_t* q_raw_data() const { return q_raw_.data(); }
   /// Quantized selection prior (empty = disabled).
   const std::vector<std::int64_t>& bias_raw() const { return bias_raw_; }
 

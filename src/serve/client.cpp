@@ -183,7 +183,6 @@ Client::Result Client::query(std::uint64_t state, std::uint32_t agent) {
       continue;
     }
     return Result{msg.action, (msg.flags & kRespSafeDefault) != 0,
-                  (msg.flags & kRespCacheHit) != 0,
                   (msg.flags & kRespCanary) != 0};
   }
 }

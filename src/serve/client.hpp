@@ -42,7 +42,6 @@ class Client {
   struct Result {
     std::uint32_t action = 0;
     bool safe_default = false;  ///< shed or timed out: all-hold degradation
-    bool cache_hit = false;
     bool canary = false;  ///< decided by the canary candidate policy
   };
   Result query(std::uint64_t state, std::uint32_t agent = 0);

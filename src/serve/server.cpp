@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -52,7 +53,30 @@ void ring_backoff(unsigned& spins) {
   std::this_thread::sleep_for(std::chrono::microseconds(50));
 }
 
+/// Greedy action of every (agent, state), indexed
+/// agent * states_per_agent + state: one batched call per agent.
+std::vector<std::uint32_t> action_table(const rl::RlGovernor& governor) {
+  const std::size_t states = governor.agent(0).state_count();
+  std::vector<std::uint64_t> all(states);
+  std::iota(all.begin(), all.end(), std::uint64_t{0});
+  std::vector<std::uint32_t> table(governor.agent_count() * states);
+  for (std::size_t a = 0; a < governor.agent_count(); ++a) {
+    governor.agent(a).greedy_actions(all.data(), states,
+                                     table.data() + a * states);
+  }
+  return table;
+}
+
 }  // namespace
+
+/// Every answer the served policies can give. Immutable once published:
+/// a batch that copied the pointer keeps a consistent view however many
+/// reloads or verdicts land while it runs.
+struct PolicyServer::ActionSnapshot {
+  std::vector<std::uint32_t> incumbent;
+  /// Empty unless a canary candidate is staged.
+  std::vector<std::uint32_t> candidate;
+};
 
 /// One client connection, owned by exactly one shard thread (reads,
 /// decides, and writes all happen on that thread, so no per-connection
@@ -90,30 +114,17 @@ struct PolicyServer::Pending {
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// Per-worker state: the private decision cache, the bounded pending
-/// queue, and reusable scratch for batching. One Worker per shard thread
-/// and one per shm worker thread; nothing in here is shared.
+/// Per-worker state: the bounded pending queue and reusable scratch for
+/// batching. One Worker per shard thread and one per shm worker thread;
+/// nothing in here is shared.
 struct PolicyServer::Worker {
-  explicit Worker(std::size_t cache_capacity)
-      : cache(cache_capacity), canary_cache(cache_capacity) {}
-
-  WorkerCache cache;
-  /// Candidate-arm decisions cache separately: one key can map to
-  /// different actions under the two policies.
-  WorkerCache canary_cache;
   std::deque<Pending> pending;
   // Batch scratch (reused allocation across batches).
   std::vector<Pending> batch;
-  std::vector<ResponseMsg> msgs;
-  std::vector<std::size_t> miss_slots;
-  std::vector<std::size_t> agent_slots;
-  std::vector<std::uint64_t> miss_states;
-  std::vector<std::uint32_t> miss_actions;
   std::string tx;
 };
 
 struct PolicyServer::Shard {
-  explicit Shard(std::size_t cache_capacity) : worker(cache_capacity) {}
   ~Shard() {
     auto close_fd = [](int& fd) {
       if (fd >= 0) {
@@ -134,8 +145,7 @@ struct PolicyServer::Shard {
 };
 
 struct PolicyServer::ShmWorker {
-  ShmWorker(std::size_t index_in, std::size_t cache_capacity)
-      : index(index_in), worker(cache_capacity) {}
+  explicit ShmWorker(std::size_t index_in) : index(index_in) {}
 
   std::size_t index;
   Worker worker;
@@ -171,10 +181,6 @@ void PolicyServer::set_metrics(obs::MetricsRegistry* metrics) {
   requests_counter_ = metrics ? &metrics->counter("serve.requests") : nullptr;
   shed_counter_ = metrics ? &metrics->counter("serve.shed") : nullptr;
   timeout_counter_ = metrics ? &metrics->counter("serve.timeouts") : nullptr;
-  cache_hit_counter_ =
-      metrics ? &metrics->counter("serve.cache_hit") : nullptr;
-  cache_miss_counter_ =
-      metrics ? &metrics->counter("serve.cache_miss") : nullptr;
   wire_error_counter_ =
       metrics ? &metrics->counter("serve.wire_errors") : nullptr;
   reload_counter_ = metrics ? &metrics->counter("serve.reloads") : nullptr;
@@ -257,6 +263,14 @@ void PolicyServer::start() {
       }
     }
   }
+  {
+    auto incumbent = action_table(*governor_);
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    // Keeps a candidate staged before start().
+    publish_locked(std::move(incumbent), snapshot_
+                                             ? snapshot_->candidate
+                                             : std::vector<std::uint32_t>{});
+  }
 
   if (registry_ && config_.rollout.canary_pct > 0.0) {
     std::string stage_error;
@@ -286,7 +300,7 @@ void PolicyServer::start() {
 
   shards_.clear();
   for (std::size_t i = 0; i < config_.workers; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_.cache_capacity));
+    shards_.push_back(std::make_unique<Shard>());
   }
   if (config_.tcp_enable) {
     // One listener per shard, all bound to the same port with
@@ -334,8 +348,7 @@ void PolicyServer::start() {
     const std::size_t count =
         std::min(config_.shm_workers, config_.shm_lanes);
     for (std::size_t i = 0; i < count; ++i) {
-      shm_workers_.push_back(
-          std::make_unique<ShmWorker>(i, config_.cache_capacity));
+      shm_workers_.push_back(std::make_unique<ShmWorker>(i));
     }
   }
 
@@ -398,14 +411,13 @@ bool PolicyServer::request_reload(std::string* error) {
       return false;
     }
     staged->set_frozen(true);
+    auto incumbent = action_table(*staged);
     {
-      const std::unique_lock<std::shared_mutex> lock(governor_mutex_);
+      const std::lock_guard<std::mutex> lock(snapshot_mutex_);
       governor_ = std::move(staged);
-      // Bump under the writer lock: every in-flight batch holds the reader
-      // side, so a worker that filled cache entries against the old
-      // governor observes the new generation (and clears them) before its
-      // next probe of the new one.
-      cache_generation_.fetch_add(1, std::memory_order_release);
+      publish_locked(std::move(incumbent),
+                     snapshot_ ? snapshot_->candidate
+                               : std::vector<std::uint32_t>{});
     }
   }
   // SIGHUP-staged canary: with a registry configured, every reload also
@@ -436,12 +448,15 @@ void PolicyServer::stage_candidate(std::unique_ptr<rl::RlGovernor> candidate,
     throw std::invalid_argument("serve: candidate shape mismatch");
   }
   candidate->set_frozen(true);
+  auto table = action_table(*candidate);
   {
-    const std::unique_lock<std::shared_mutex> lock(governor_mutex_);
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
     candidate_ = std::move(candidate);
+    publish_locked(snapshot_ ? snapshot_->incumbent
+                             : std::vector<std::uint32_t>{},
+                   std::move(table));
     candidate_version_.store(version, std::memory_order_release);
     candidate_active_.store(true, std::memory_order_release);
-    cache_generation_.fetch_add(1, std::memory_order_release);
   }
   {
     const std::lock_guard<std::mutex> lock(rollout_mutex_);
@@ -488,14 +503,14 @@ void PolicyServer::finish_rollout(policy::RolloutDecision decision) {
   const std::uint64_t version =
       candidate_version_.load(std::memory_order_acquire);
   if (decision == policy::RolloutDecision::Rollback) {
-    // Rollback never touches a connection: it deactivates the candidate
-    // (canary-cohort decisions fall back to the incumbent on the very
-    // next batch) and invalidates the worker caches.
+    // Rollback never touches a connection: it deactivates the candidate,
+    // so canary-cohort decisions fall back to the incumbent on the very
+    // next batch.
     {
-      const std::unique_lock<std::shared_mutex> lock(governor_mutex_);
+      const std::lock_guard<std::mutex> lock(snapshot_mutex_);
       candidate_active_.store(false, std::memory_order_release);
       candidate_.reset();
-      cache_generation_.fetch_add(1, std::memory_order_release);
+      publish_locked(snapshot_->incumbent, {});
     }
     rollbacks_.fetch_add(1, std::memory_order_relaxed);
     if (rollback_counter_) rollback_counter_->inc();
@@ -509,10 +524,12 @@ void PolicyServer::finish_rollout(policy::RolloutDecision decision) {
     emit_rollout_trace("rollback", version);
   } else if (decision == policy::RolloutDecision::Promote) {
     {
-      const std::unique_lock<std::shared_mutex> lock(governor_mutex_);
-      if (candidate_) governor_ = std::move(candidate_);
+      const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+      if (candidate_) {
+        governor_ = std::move(candidate_);
+        publish_locked(snapshot_->candidate, {});
+      }
       candidate_active_.store(false, std::memory_order_release);
-      cache_generation_.fetch_add(1, std::memory_order_release);
     }
     promotions_.fetch_add(1, std::memory_order_relaxed);
     if (promote_counter_) promote_counter_->inc();
@@ -525,6 +542,12 @@ void PolicyServer::finish_rollout(policy::RolloutDecision decision) {
     }
     emit_rollout_trace("promote", version);
   }
+}
+
+void PolicyServer::publish_locked(std::vector<std::uint32_t> incumbent,
+                                  std::vector<std::uint32_t> candidate) {
+  snapshot_ = std::make_shared<const ActionSnapshot>(
+      ActionSnapshot{std::move(incumbent), std::move(candidate)});
 }
 
 void PolicyServer::emit_rollout_trace(const char* what,
@@ -911,116 +934,46 @@ void PolicyServer::process_batch(Worker& worker) {
   if (config_.batch_process_delay.count() > 0) {
     std::this_thread::sleep_for(config_.batch_process_delay);
   }
-  worker.msgs.resize(batch.size());
+  std::shared_ptr<const ActionSnapshot> snapshot;
   {
-    const std::shared_lock<std::shared_mutex> glock(governor_mutex_);
-    // Reconcile reload generation while holding the reader lock: the
-    // governor cannot swap mid-batch, so entries filled below belong to
-    // the generation recorded here. Both arms share one generation; a
-    // candidate swap bumps it, so both caches clear together.
-    const std::uint64_t generation =
-        cache_generation_.load(std::memory_order_acquire);
-    worker.cache.sync(generation);
-    worker.canary_cache.sync(generation);
-    // The candidate pointer only swaps under the writer lock, so this is
-    // a stable view for the whole batch.
-    const bool canary_on =
-        candidate_active_.load(std::memory_order_acquire) &&
-        candidate_ != nullptr;
-    const auto now = std::chrono::steady_clock::now();
-    worker.miss_slots.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Pending& pending = batch[i];
-      const bool use_candidate = canary_on && pending.canary;
-      ResponseMsg& msg = worker.msgs[i];
-      msg = ResponseMsg{pending.query.request_id, 0,
-                        use_candidate ? kRespCanary : std::uint16_t{0}};
-      if (now - pending.enqueued > config_.request_timeout) {
-        // Stale decision = wrong decision: a DVFS answer for a 50 ms old
-        // state is worthless, so degrade to the safe default instead.
-        msg.action = safe_default_action();
-        msg.flags = kRespSafeDefault;
-        if (timeout_counter_) timeout_counter_->inc();
-        continue;
-      }
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(pending.query.agent) *
-              states_per_agent_ +
-          pending.query.state;
-      WorkerCache& cache =
-          use_candidate ? worker.canary_cache : worker.cache;
-      if (const auto hit = cache.get(key)) {
-        msg.action = *hit;
-        msg.flags |= kRespCacheHit;
-        if (cache_hit_counter_) cache_hit_counter_->inc();
-        continue;
-      }
-      worker.miss_slots.push_back(i);
-    }
-    // Cache misses go through the batched argmax: one SIMD pass per agent
-    // (and per arm while a candidate serves) instead of a scalar row scan
-    // per request.
-    for (int arm = 0; !worker.miss_slots.empty() && arm < (canary_on ? 2 : 1);
-         ++arm) {
-      rl::RlGovernor& arm_governor = arm == 1 ? *candidate_ : *governor_;
-      WorkerCache& arm_cache =
-          arm == 1 ? worker.canary_cache : worker.cache;
-      for (std::uint32_t agent = 0; agent < agent_count_; ++agent) {
-        worker.agent_slots.clear();
-        worker.miss_states.clear();
-        for (const std::size_t i : worker.miss_slots) {
-          const bool use_candidate = canary_on && batch[i].canary;
-          if ((use_candidate ? 1 : 0) != arm) continue;
-          if (batch[i].query.agent != agent) continue;
-          worker.agent_slots.push_back(i);
-          worker.miss_states.push_back(batch[i].query.state);
-        }
-        if (worker.agent_slots.empty()) continue;
-        worker.miss_actions.resize(worker.agent_slots.size());
-        arm_governor.agent(agent).greedy_actions(
-            worker.miss_states.data(), worker.miss_states.size(),
-            worker.miss_actions.data());
-        for (std::size_t j = 0; j < worker.agent_slots.size(); ++j) {
-          const std::size_t i = worker.agent_slots[j];
-          const std::uint32_t action = worker.miss_actions[j];
-          worker.msgs[i].action = action;
-          arm_cache.put(static_cast<std::uint64_t>(agent) *
-                                states_per_agent_ +
-                            batch[i].query.state,
-                        action);
-          if (cache_miss_counter_) cache_miss_counter_->inc();
-        }
-      }
-    }
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    snapshot = snapshot_;
   }
+  const bool canary_on = !snapshot->candidate.empty();
+  const auto now = std::chrono::steady_clock::now();
   // Respond in arrival order, coalescing consecutive responses to the
   // same target into one send: a pipelined client's whole batch costs a
   // single syscall (or one ring reservation) instead of one per decision.
   std::string& out = worker.tx;
   out.clear();
-  const Connection* current_conn = nullptr;
-  std::uint32_t current_lane = kNoLane;
-  bool have_target = false;
-  auto flush = [&](const std::shared_ptr<Connection>& conn,
-                   std::uint32_t lane) {
-    if (out.empty()) return;
-    send_to(conn, lane, out);
-    out.clear();
-  };
-  std::shared_ptr<Connection> target_conn;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Pending& pending = batch[i];
-    if (!have_target || pending.conn.get() != current_conn ||
-        pending.lane != current_lane) {
-      flush(target_conn, current_lane);
-      target_conn = pending.conn;
-      current_conn = pending.conn.get();
-      current_lane = pending.lane;
-      have_target = true;
+  const Pending* target = nullptr;
+  std::uint32_t first_action = 0;
+  for (const Pending& pending : batch) {
+    if (target && (pending.conn != target->conn ||
+                   pending.lane != target->lane)) {
+      send_to(target->conn, target->lane, out);
+      out.clear();
     }
-    append_response(out, worker.msgs[i]);
+    target = &pending;
+    const bool use_candidate = canary_on && pending.canary;
+    ResponseMsg msg{pending.query.request_id, 0,
+                    use_candidate ? kRespCanary : std::uint16_t{0}};
+    if (now - pending.enqueued > config_.request_timeout) {
+      // Stale decision = wrong decision: a DVFS answer for a 50 ms old
+      // state is worthless, so degrade to the safe default instead.
+      msg.action = safe_default_action();
+      msg.flags = kRespSafeDefault;
+      if (timeout_counter_) timeout_counter_->inc();
+    } else {
+      const auto& table =
+          use_candidate ? snapshot->candidate : snapshot->incumbent;
+      msg.action = table[pending.query.agent * states_per_agent_ +
+                         pending.query.state];
+    }
+    if (&pending == &batch.front()) first_action = msg.action;
+    append_response(out, msg);
   }
-  flush(target_conn, current_lane);
+  send_to(target->conn, target->lane, out);
   responses_.fetch_add(batch.size(), std::memory_order_relaxed);
   const auto t1 = std::chrono::steady_clock::now();
   if (latency_hist_) {
@@ -1034,7 +987,7 @@ void PolicyServer::process_batch(Worker& worker) {
   }
   emit_batch_trace(batch.size(),
                    std::chrono::duration<double>(t1 - t0).count(),
-                   batch.front().query.state, worker.msgs.front().action);
+                   batch.front().query.state, first_action);
 }
 
 void PolicyServer::send_to(const std::shared_ptr<Connection>& conn,

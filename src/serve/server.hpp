@@ -4,8 +4,8 @@
 // a shared-memory ring transport, using the CRC-32-framed wire protocol
 // in serve/wire.hpp.
 //
-// Architecture (one process, sharded — no global queue, no global locks
-// on the hot path):
+// Architecture (one process, sharded — no global queue, and the hot path
+// takes one uncontended lock per batch):
 //
 //   shard thread 0..W-1 (one poll loop each)     shm worker 0..S-1
 //   -----------------------------------------    -------------------------
@@ -16,17 +16,20 @@
 //   read -> frame-decode -> validate
 //   enqueue on the shard's own pending deque
 //     (shed on full: safe default, never a drop)
-//   process inline: micro-batch -> per-worker
-//     cache probe -> SIMD batched argmax
-//     (rl/batch_argmax) -> responses coalesced
-//     per connection (one send per conn per batch)
+//   process inline: micro-batch -> one action
+//     table read per request -> responses
+//     coalesced per connection (one send per
+//     conn per batch)
 //
-// Every worker (shard or shm) owns a private WorkerCache, so the hot path
-// never touches a shared cache mutex. Hot-reload invalidation is a
-// generation counter: request_reload() swaps the governor under the
-// writer lock and bumps the generation; each worker reconciles at batch
-// start while holding the reader lock, so a batch can never serve or
-// re-fill pre-reload decisions.
+// A frozen tabular policy has exactly one greedy action per (agent,
+// state), so every answer the service can give is fixed when a policy is
+// loaded. The server precomputes them into an immutable ActionSnapshot:
+// one flat action table for the incumbent and, while a canary is staged,
+// one for the candidate. start(), request_reload(), stage_candidate(), a
+// rollback and a promotion each publish a new snapshot under one mutex;
+// a batch copies the snapshot pointer under that mutex once and then
+// answers from the copy, so a batch never mixes two policies and never
+// serves a decision from a policy that was replaced before it began.
 //
 // Robustness semantics mirror the watchdog's graceful-degradation stance:
 // the service degrades instead of failing. A full pending queue (bounded
@@ -40,9 +43,8 @@
 // Hot reload: request_reload() (wired to SIGHUP by `pmrl_cli serve`) or a
 // Reload control frame re-runs try_load_policy on the configured
 // checkpoint path into a staging governor; only a fully validated
-// checkpoint is swapped in (under the writer lock), and the cache
-// generation is bumped at the swap point so no stale action survives the
-// reload.
+// checkpoint is swapped in, together with its action table, so no
+// decision of the replaced policy is served after the swap.
 
 #include <atomic>
 #include <chrono>
@@ -50,14 +52,12 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "policy/rollout.hpp"
 #include "rl/rl_governor.hpp"
-#include "serve/cache.hpp"
 #include "serve/shm_ring.hpp"
 #include "serve/wire.hpp"
 
@@ -98,21 +98,15 @@ struct ServerConfig {
 
   /// Shard threads: each runs its own accept/read/decide poll loop.
   std::size_t workers = 4;
-  /// Max requests decided per governor-lock acquisition. A shard batches
-  /// whatever its sockets had in flight, capped at this.
+  /// Max requests decided per snapshot read. A shard batches whatever its
+  /// sockets had in flight, capped at this.
   std::size_t batch_max = 32;
-  /// Legacy knob from the queued design, kept for config compatibility.
-  /// Sharded processing batches what is already in flight without
-  /// waiting, so no artificial deadline latency remains to bound.
-  std::chrono::microseconds batch_deadline{200};
   /// Bounded pending queue per shard; a Query arriving on a full queue is
   /// shed (answered immediately with the safe-default action).
   std::size_t queue_capacity = 1024;
   /// Requests older than this when processed are answered with the
   /// safe-default action instead of a stale decision.
   std::chrono::milliseconds request_timeout{50};
-  /// LRU decision cache entries per worker (0 disables caching).
-  std::size_t cache_capacity = 4096;
 
   /// Policy checkpoint path; loaded at start() and on every reload. Empty
   /// serves the freshly constructed (or externally seeded) governor and
@@ -162,10 +156,10 @@ class PolicyServer {
   const ServerConfig& config() const { return config_; }
 
   /// Re-runs try_load_policy(policy_path) into a staging governor and, on
-  /// success, swaps it in and bumps the cache generation (worker caches
-  /// invalidate on their next batch). Thread-safe; returns false (with
-  /// the parse error in `error` when non-null) on any rejection — the
-  /// serving governor is untouched.
+  /// success, swaps it in and publishes its action table (batches that
+  /// start afterwards serve it). Thread-safe; returns false (with the
+  /// parse error in `error` when non-null) on any rejection — the serving
+  /// governor is untouched.
   bool request_reload(std::string* error = nullptr);
 
   /// Drain control for tests and maintenance: paused workers keep
@@ -175,8 +169,8 @@ class PolicyServer {
   void resume_workers();
 
   /// The currently serving governor. Mutate only before start() (tests
-  /// seed Q-values through this); after start() workers read it
-  /// concurrently.
+  /// seed Q-values through this): start() freezes it into the action
+  /// snapshot, so later edits are never served.
   rl::RlGovernor& governor() { return *governor_; }
 
   /// Stages a candidate governor (already loaded + frozen) for canary
@@ -214,12 +208,8 @@ class PolicyServer {
     return responses_.load(std::memory_order_relaxed);
   }
 
-  /// Reload-invalidation generation (each successful reload bumps it).
-  std::uint64_t cache_generation() const {
-    return cache_generation_.load(std::memory_order_acquire);
-  }
-
  private:
+  struct ActionSnapshot;
   struct Connection;
   struct Pending;
   struct Worker;
@@ -233,6 +223,9 @@ class PolicyServer {
                      const std::shared_ptr<Connection>& conn,
                      std::uint32_t lane, const util::Frame& frame);
   void finish_rollout(policy::RolloutDecision decision);
+  /// Swaps in a new snapshot; call with snapshot_mutex_ held.
+  void publish_locked(std::vector<std::uint32_t> incumbent,
+                      std::vector<std::uint32_t> candidate);
   void emit_rollout_trace(const char* what, std::uint64_t version);
   void shm_loop(ShmWorker& worker);
   void handle_readable(Worker& worker,
@@ -255,9 +248,9 @@ class PolicyServer {
   void note_queue_depth(std::ptrdiff_t delta);
 
   ServerConfig config_;
+  /// Incumbent and canary candidate; swapped only under snapshot_mutex_,
+  /// together with the snapshot built from them.
   std::unique_ptr<rl::RlGovernor> governor_;
-  /// Canary candidate; swapped only under the governor writer lock, read
-  /// under the shared lock in process_batch.
   std::unique_ptr<rl::RlGovernor> candidate_;
   std::unique_ptr<policy::PolicyRegistry> registry_;
   /// Canary evaluator; guarded by rollout_mutex_, state mirrored in the
@@ -271,12 +264,13 @@ class PolicyServer {
   std::atomic<std::uint64_t> promotions_{0};
   /// Accept-order sequence: the deterministic per-connection route key.
   std::atomic<std::uint64_t> conn_seq_{0};
-  /// Guards governor_ swap on hot-reload; workers take it shared per batch.
-  std::shared_mutex governor_mutex_;
+  /// Guards governor_, candidate_ and snapshot_. Writers hold it to swap
+  /// a governor and publish its snapshot; a batch holds it only to copy
+  /// snapshot_. (std::atomic<std::shared_ptr> would also do, but GCC 12's
+  /// TSan reports a race inside its libstdc++ implementation.)
+  std::mutex snapshot_mutex_;
+  std::shared_ptr<const ActionSnapshot> snapshot_;
   std::mutex reload_mutex_;
-  /// Bumped (under the governor writer lock) on every successful reload;
-  /// worker caches reconcile against it at batch start.
-  std::atomic<std::uint64_t> cache_generation_{0};
   std::size_t agent_count_ = 0;
   std::size_t states_per_agent_ = 0;
   std::uint32_t safe_action_ = 0;
@@ -303,8 +297,6 @@ class PolicyServer {
   obs::Counter* requests_counter_ = nullptr;
   obs::Counter* shed_counter_ = nullptr;
   obs::Counter* timeout_counter_ = nullptr;
-  obs::Counter* cache_hit_counter_ = nullptr;
-  obs::Counter* cache_miss_counter_ = nullptr;
   obs::Counter* wire_error_counter_ = nullptr;
   obs::Counter* reload_counter_ = nullptr;
   obs::Counter* connection_counter_ = nullptr;

@@ -336,7 +336,6 @@ Client::Result ShmClient::query(std::uint64_t state, std::uint32_t agent) {
       continue;
     }
     return Client::Result{msg.action, (msg.flags & kRespSafeDefault) != 0,
-                          (msg.flags & kRespCacheHit) != 0,
                           (msg.flags & kRespCanary) != 0};
   }
 }

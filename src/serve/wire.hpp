@@ -18,8 +18,8 @@
 // StateEncoder (or ships precomputed indices) and the server answers with
 // the greedy rl::Action index for that agent — the same request/response
 // transaction shape as the paper's CPU<->accelerator interface. Response
-// flags say how the decision was produced (cache hit, or the safe-default
-// degradation used for shed/timed-out requests).
+// flags say how the decision was produced (the canary candidate, or the
+// safe-default degradation used for shed/timed-out requests).
 
 #include <cstdint>
 #include <string>
@@ -51,6 +51,8 @@ const char* msg_type_name(MsgType type);
 
 /// Response flag bits.
 inline constexpr std::uint16_t kRespSafeDefault = 1u << 0;  ///< shed/timeout
+/// Reserved: set by servers that answered from a decision cache. This
+/// server precomputes every answer and never sets it.
 inline constexpr std::uint16_t kRespCacheHit = 1u << 1;
 /// Decision was made by the canary candidate policy, not the incumbent.
 inline constexpr std::uint16_t kRespCanary = 1u << 2;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/engine.hpp"
 #include "governors/registry.hpp"
@@ -17,6 +18,14 @@ struct SweepCase {
   std::string governor;
   workload::ScenarioKind kind;
 };
+
+// Without a printer gtest lists the parameter as raw bytes, and the bytes of
+// a std::string include a heap address, so every process (and every ctest
+// discovery) would name these tests differently.
+void PrintTo(const SweepCase& sweep_case, std::ostream* os) {
+  *os << sweep_case.governor << "/"
+      << workload::scenario_kind_name(sweep_case.kind);
+}
 
 std::vector<SweepCase> all_cases() {
   std::vector<SweepCase> cases;

@@ -184,20 +184,6 @@ TEST(TraceJsonl, RejectsMalformedLine) {
   EXPECT_THROW(obs::trace_from_jsonl_line("not json"), std::runtime_error);
 }
 
-TEST(TraceBinary, RoundTripsBitIdentically) {
-  auto events = sample_trace();
-  events[1].detail = "comma,\"quote\"\nnewline\\";
-  std::ostringstream out(std::ios::binary);
-  obs::write_binary_trace(out, events);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_EQ(obs::read_binary_trace(in), events);
-}
-
-TEST(TraceBinary, RejectsBadMagic) {
-  std::istringstream in("NOTATRACE", std::ios::binary);
-  EXPECT_THROW(obs::read_binary_trace(in), std::runtime_error);
-}
-
 TEST(VectorTraceSink, KeepsEventsInOrder) {
   obs::VectorTraceSink sink;
   const auto events = sample_trace();
@@ -206,26 +192,6 @@ TEST(VectorTraceSink, KeepsEventsInOrder) {
   const auto taken = sink.take();
   EXPECT_EQ(taken, events);
   EXPECT_TRUE(sink.events().empty());
-}
-
-TEST(RingTraceSink, KeepsLastNAndCountsDrops) {
-  obs::RingTraceSink sink(3);
-  std::vector<obs::TraceEvent> events;
-  for (std::uint64_t i = 0; i < 7; ++i) {
-    events.push_back(make_event(obs::EventKind::Epoch, i, 1));
-    sink.record(events.back());
-  }
-  EXPECT_EQ(sink.size(), 3u);
-  EXPECT_EQ(sink.dropped(), 4u);
-  const auto window = sink.snapshot();
-  ASSERT_EQ(window.size(), 3u);
-  EXPECT_EQ(window[0], events[4]);
-  EXPECT_EQ(window[2], events[6]);
-
-  std::ostringstream out(std::ios::binary);
-  sink.save(out);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_EQ(obs::RingTraceSink::load(in), window);
 }
 
 TEST(TraceDouble, Exact17gFormatting) {

@@ -2,8 +2,10 @@
 // registry stages a candidate at 50%, routes connections deterministically,
 // and the client outcome reports drive the verdict — a worse candidate
 // must auto-rollback within the settle window with zero connection drops,
-// a better one must promote. Runs whole under TSan with the rest of
-// test_serve (acceptor/worker/report/verdict thread choreography).
+// a better one must promote. After every transition both cohorts are swept
+// over every (agent, state) against the governor their arm should serve.
+// Runs whole under TSan with the rest of test_serve
+// (acceptor/worker/report/verdict thread choreography).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../helpers/serve_sweep.hpp"
 #include "policy/registry.hpp"
 #include "policy/rollout.hpp"
 #include "serve/client.hpp"
@@ -63,10 +66,8 @@ serve::ServerConfig canary_config(const std::filesystem::path& dir) {
   config.uds_path = test_socket_path();
   config.workers = 2;
   config.batch_max = 16;
-  config.batch_deadline = 100us;
   config.queue_capacity = 64;
   config.request_timeout = 5s;
-  config.cache_capacity = 256;
   config.registry_dir = dir.string();
   config.rollout.canary_pct = 50.0;
   config.rollout.regression_threshold = 0.05;
@@ -76,6 +77,33 @@ serve::ServerConfig canary_config(const std::filesystem::path& dir) {
 }
 
 constexpr int kClients = 8;
+
+/// Registry entry `version`, loaded the way the server loads it.
+rl::RlGovernor registry_governor(const std::filesystem::path& dir,
+                                 std::uint64_t version) {
+  rl::RlGovernor governor(rl::RlGovernorConfig{}, 2);
+  policy::PolicyRegistry(dir).load(version, governor);
+  return governor;
+}
+
+/// Sweeps the first connection of each cohort: incumbent-cohort answers
+/// come from `incumbent`; canary-cohort answers from `candidate` when one
+/// serves, else from `incumbent` without the canary flag.
+void expect_cohorts_serve(std::vector<serve::Client>& clients,
+                          const std::vector<bool>& canary,
+                          const rl::RlGovernor& incumbent,
+                          const rl::RlGovernor* candidate) {
+  for (const bool cohort : {false, true}) {
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      if (canary[i] != cohort) continue;
+      const bool on_candidate = cohort && candidate != nullptr;
+      test::expect_serves_greedy(clients[i],
+                                 on_candidate ? *candidate : incumbent,
+                                 on_candidate);
+      break;
+    }
+  }
+}
 
 /// Connects kClients, learns each connection's arm from the response flag,
 /// and asserts the incumbent/candidate actions are served as staged.
@@ -130,6 +158,8 @@ TEST(CanaryRollout, WorseCandidateAutoRollsBackWithZeroDrops) {
   std::vector<serve::Client> clients;
   std::vector<bool> canary;
   connect_and_split(config, clients, canary);
+  const auto candidate = registry_governor(dir, 2);
+  expect_cohorts_serve(clients, canary, server.governor(), &candidate);
 
   // Candidate spends 2x the energy per QoS: regression beyond the 5%
   // threshold in every window -> rollback after 2 settle windows.
@@ -147,6 +177,7 @@ TEST(CanaryRollout, WorseCandidateAutoRollsBackWithZeroDrops) {
     EXPECT_EQ(result.action, 1u);
     EXPECT_FALSE(result.canary);
   }
+  expect_cohorts_serve(clients, canary, server.governor(), nullptr);
 
   // The registry recorded the verdict; CURRENT still names the incumbent.
   policy::PolicyRegistry registry(dir);
@@ -161,6 +192,8 @@ TEST(CanaryRollout, WorseCandidateAutoRollsBackWithZeroDrops) {
   EXPECT_TRUE(server.candidate_active());
   EXPECT_EQ(server.candidate_version(), 3u);
   EXPECT_EQ(server.rollout_state(), policy::RolloutState::Canary);
+  const auto next = registry_governor(dir, 3);
+  expect_cohorts_serve(clients, canary, server.governor(), &next);
   server.stop();
 }
 
@@ -175,6 +208,8 @@ TEST(CanaryRollout, BetterCandidatePromotes) {
   std::vector<serve::Client> clients;
   std::vector<bool> canary;
   connect_and_split(config, clients, canary);
+  const auto candidate = registry_governor(dir, 2);
+  expect_cohorts_serve(clients, canary, server.governor(), &candidate);
 
   // Candidate spends 10% less energy per QoS: healthy windows -> promote.
   drive_reports(clients, canary, 0.9, policy::RolloutState::Promoted);
@@ -191,6 +226,7 @@ TEST(CanaryRollout, BetterCandidatePromotes) {
     EXPECT_EQ(result.action, 2u);
     EXPECT_FALSE(result.canary);
   }
+  expect_cohorts_serve(clients, canary, server.governor(), nullptr);
   policy::PolicyRegistry registry(dir);
   EXPECT_EQ(registry.meta(2)->status, policy::PolicyStatus::Promoted);
   EXPECT_EQ(*registry.current(), 2u);

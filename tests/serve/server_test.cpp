@@ -1,8 +1,9 @@
 // PolicyServer loopback integration: request/response over UDS and TCP,
-// cache hits, corruption handling, hot-reload invalidation, overload
-// shedding, and per-request timeout degradation. Everything runs in one
-// process over loopback sockets, so these tests double as the TSan gate
-// for the acceptor/worker/reload thread choreography.
+// corruption handling, hot reload (every (agent, state) swept after the
+// swap), overload shedding, and per-request timeout degradation.
+// Everything runs in one process over loopback sockets, so these tests
+// double as the TSan gate for the acceptor/worker/reload thread
+// choreography.
 
 #include "serve/server.hpp"
 
@@ -19,6 +20,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
+#include "../helpers/serve_sweep.hpp"
 #include "rl/policy_io.hpp"
 #include "serve/client.hpp"
 
@@ -39,10 +41,8 @@ serve::ServerConfig base_config() {
   config.uds_path = test_socket_path();
   config.workers = 2;
   config.batch_max = 16;
-  config.batch_deadline = 100us;
   config.queue_capacity = 64;
   config.request_timeout = 5s;  // tests that need timeouts shrink this
-  config.cache_capacity = 256;
   return config;
 }
 
@@ -85,20 +85,6 @@ TEST(PolicyServer, TcpQueryWorks) {
   EXPECT_TRUE(client.ping(99));
   const auto result = client.query(3, /*agent=*/1);
   EXPECT_EQ(result.action, 2u);
-  server.stop();
-}
-
-TEST(PolicyServer, RepeatQueryHitsCache) {
-  auto config = base_config();
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(11, 2, 5.0);
-  server.start();
-  auto client = serve::Client::connect_uds(config.uds_path);
-  const auto first = client.query(11);
-  EXPECT_FALSE(first.cache_hit);
-  const auto second = client.query(11);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(first.action, second.action);
   server.stop();
 }
 
@@ -160,7 +146,7 @@ TEST(PolicyServer, TruncatedFrameCompletesAcrossWrites) {
   server.stop();
 }
 
-TEST(PolicyServer, ReloadSwapsPolicyAndInvalidatesCache) {
+TEST(PolicyServer, ReloadSwapsPolicy) {
   auto config = base_config();
   config.policy_path = test_socket_path() + ".pmrl";
   write_policy_file(config.policy_path, 9, 2);
@@ -168,14 +154,13 @@ TEST(PolicyServer, ReloadSwapsPolicyAndInvalidatesCache) {
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
   EXPECT_EQ(client.query(9).action, 2u);
-  EXPECT_TRUE(client.query(9).cache_hit);  // now cached
+  test::expect_serves_greedy(client, server.governor(), false);
 
   write_policy_file(config.policy_path, 9, 1);
   std::string error;
   ASSERT_TRUE(client.reload(&error)) << error;
-  const auto after = client.query(9);
-  EXPECT_EQ(after.action, 1u);        // the reloaded policy answers
-  EXPECT_FALSE(after.cache_hit);      // the cache was invalidated
+  EXPECT_EQ(client.query(9).action, 1u);  // the reloaded policy answers
+  test::expect_serves_greedy(client, server.governor(), false);
   server.stop();
   ::unlink(config.policy_path.c_str());
 }
@@ -190,7 +175,7 @@ TEST(PolicyServer, ReloadRejectsCorruptCheckpointAndKeepsServing) {
   EXPECT_EQ(client.query(6).action, 2u);
 
   // Corrupt the checkpoint on disk; the reload must reject it (CRC) and
-  // keep the in-memory policy (and its cache) serving.
+  // keep the in-memory policy serving.
   {
     std::ofstream out(config.policy_path);
     out << "pmrl-policy,2,2,240,3\nnot,numbers,at,all\n";
@@ -198,9 +183,7 @@ TEST(PolicyServer, ReloadRejectsCorruptCheckpointAndKeepsServing) {
   std::string error;
   EXPECT_FALSE(client.reload(&error));
   EXPECT_FALSE(error.empty());
-  const auto after = client.query(6);
-  EXPECT_EQ(after.action, 2u);
-  EXPECT_TRUE(after.cache_hit);  // cache untouched by the failed reload
+  EXPECT_EQ(client.query(6).action, 2u);
   server.stop();
   ::unlink(config.policy_path.c_str());
 }
@@ -277,8 +260,6 @@ TEST(PolicyServer, MetricsAndTraceAreWired) {
   server.stop();
 
   EXPECT_GE(metrics.counter("serve.requests").value(), 10u);
-  EXPECT_GE(metrics.counter("serve.cache_hit").value(), 9u);
-  EXPECT_GE(metrics.counter("serve.cache_miss").value(), 1u);
   EXPECT_GE(metrics.histogram("serve.batch_size").count(), 1u);
   EXPECT_GE(metrics.histogram("serve.latency_s").count(), 10u);
   const std::string json = metrics.to_json();
@@ -297,10 +278,9 @@ TEST(PolicyServer, MetricsAndTraceAreWired) {
 
 // Reload hammer: clients query nonstop on every shard while the policy
 // file flips between two greedy actions and reloads fire. Every answer
-// must be one of the two valid actions (never a torn read, never a stale
-// cache entry after the generation moved), and after the final reload a
-// cold query must serve the final policy. This is the TSan gate for the
-// generation-counter invalidation protocol.
+// must be one of the two valid actions (never a torn read), and after the
+// final reload every shard must serve the final policy. This is the TSan
+// gate for the snapshot publish protocol.
 TEST(PolicyServer, ReloadInvalidationUnderConcurrentQueries) {
   auto config = base_config();
   config.workers = 3;
@@ -336,11 +316,10 @@ TEST(PolicyServer, ReloadInvalidationUnderConcurrentQueries) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(bad_actions.load(), 0);
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(server.cache_generation(), 20u);
 
-  // After the last reload (even round 19 -> action 1) no stale cached
-  // action 2 may survive on any shard: fresh connections land on
-  // whichever shard accepts first and must all see the final policy.
+  // After the last reload (odd round 19 -> action 1) no shard may still
+  // answer action 2: fresh connections land on whichever shard accepts
+  // first and must all see the final policy.
   for (int i = 0; i < 6; ++i) {
     auto probe = serve::Client::connect_uds(config.uds_path);
     EXPECT_EQ(probe.query(9).action, 1u);
