@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "governors/registry.hpp"
 
@@ -121,39 +119,6 @@ TrainEval train_and_evaluate(const core::runfarm::RunFarm& farm,
   result.trained = train_default_policy(engine, episodes, train_seed, config);
   result.summary = evaluate_policy(engine, *result.trained.governor, eval_seed);
   return result;
-}
-
-bool read_json_number(const std::string& path, const std::string& key,
-                      double* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return false;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return false;
-  *out = std::atof(text.c_str() + colon + 1);
-  return true;
-}
-
-int check_against_baseline(const std::string& check_path,
-                           const std::string& key, double measured,
-                           double tolerance) {
-  double baseline = 0.0;
-  if (!read_json_number(check_path, key, &baseline) || baseline <= 0.0) {
-    std::fprintf(stderr, "check: cannot read %s from %s\n", key.c_str(),
-                 check_path.c_str());
-    return 2;
-  }
-  const double floor = baseline * (1.0 - tolerance);
-  const bool ok = measured >= floor;
-  std::printf("check: %s %.0f vs baseline %.0f (floor %.0f, "
-              "tolerance %.0f%%): %s\n",
-              key.c_str(), measured, baseline, floor, 100.0 * tolerance,
-              ok ? "PASS" : "REGRESSION");
-  return ok ? 0 : 3;
 }
 
 void print_banner(const char* exp_id, const char* title,

@@ -89,20 +89,6 @@ TrainEval train_and_evaluate(const core::runfarm::RunFarm& farm,
                              std::uint64_t train_seed = kTrainSeed,
                              std::uint64_t eval_seed = kEvalSeed);
 
-/// Minimal extraction of the first `"key": <number>` in a JSON file —
-/// enough for the one headline value a regression gate compares. Returns
-/// false when the file or key is missing.
-bool read_json_number(const std::string& path, const std::string& key,
-                      double* out);
-
-/// Shared perf-regression gate (`--check BASELINE.json --check-tolerance
-/// X`): compares `measured` against `key` in the baseline file and prints
-/// the verdict. Returns 0 on pass, 2 when the baseline is unreadable, 3 on
-/// regression (measured below baseline * (1 - tolerance)).
-int check_against_baseline(const std::string& check_path,
-                           const std::string& key, double measured,
-                           double tolerance);
-
 /// Prints the bench banner: experiment id, title, and which paper artifact
 /// it regenerates. Also starts the bench wall-clock; at process exit the
 /// total elapsed time is printed to stderr.

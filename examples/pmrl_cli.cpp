@@ -19,8 +19,9 @@
 //       on one scenario (or all six when omitted). A nonzero fault
 //       intensity runs each scenario under its fault profile (telemetry
 //       degradation + thermal emergencies); --watchdog wraps an RL policy
-//       in the safe-governor fallback machinery. Corrupt checkpoints are
-//       rejected (CRC32 + strict parsing) and fall back to fresh-init.
+//       in the safe-governor fallback machinery. A missing, truncated or
+//       corrupt checkpoint (CRC32 + strict parsing) exits 1 without
+//       evaluating anything.
 //       --trace records every structured event (epochs, decisions, faults,
 //       watchdog trips) to PATH; traces are deterministic and independent
 //       of --jobs. --metrics dumps the metrics registry as JSON to PATH
@@ -602,14 +603,12 @@ int cmd_eval(const Args& args) {
     rl_policy.emplace(rl::RlGovernorConfig{},
                       engine.soc_config().clusters.size());
     std::string load_error;
-    if (rl::try_load_policy(*rl_policy, in, &load_error)) {
-      std::printf("loaded RL checkpoint %s\n", target.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "checkpoint '%s' rejected: %s\n"
-                   "continuing with a fresh-init policy.\n",
-                   target.c_str(), load_error.c_str());
+    if (!rl::try_load_policy(*rl_policy, in, &load_error)) {
+      std::fprintf(stderr, "checkpoint '%s' rejected: %s\n", target.c_str(),
+                   load_error.c_str());
+      return 1;
     }
+    std::printf("loaded RL checkpoint %s\n", target.c_str());
     policy = &*rl_policy;
   }
   if (args.watchdog) {

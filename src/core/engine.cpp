@@ -1,13 +1,11 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace pmrl::core {
@@ -66,12 +64,6 @@ void SimEngine::set_metrics(obs::MetricsRegistry* metrics) {
   runs_counter_ = metrics ? &metrics->counter("engine.runs") : nullptr;
   epochs_counter_ = metrics ? &metrics->counter("engine.epochs") : nullptr;
   ticks_counter_ = metrics ? &metrics->counter("engine.ticks") : nullptr;
-}
-
-void SimEngine::set_profiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  tick_timer_ = profiler ? &profiler->timer("engine.ticks") : nullptr;
-  decision_timer_ = profiler ? &profiler->timer("engine.decisions") : nullptr;
 }
 
 RunResult SimEngine::run(workload::Scenario& scenario,
@@ -187,15 +179,6 @@ RunResult SimEngine::run(workload::Scenario& scenario,
   std::vector<double> peak_temp(soc.domain_count(), 0.0);
   std::size_t epochs = 0;
 
-  // Profiling is charged at epoch granularity: with a profiler attached,
-  // clock reads happen only at epoch boundaries; elapsed nanoseconds are
-  // accumulated locally and folded into the TimerStats once per run.
-  using ProfClock = std::chrono::steady_clock;
-  std::int64_t prof_tick_ns = 0;
-  std::int64_t prof_decision_ns = 0;
-  ProfClock::time_point prof_segment_start;
-  if (profiler_) prof_segment_start = ProfClock::now();
-
   std::vector<soc::CompletedJob> completed;
   EpochRecord record;  // reused per epoch; vectors keep their capacity
   for (std::int64_t tick = 0; tick < total_ticks; ++tick) {
@@ -209,14 +192,6 @@ RunResult SimEngine::run(workload::Scenario& scenario,
     }
 
     if ((tick + 1) % ticks_per_epoch == 0) {
-      ProfClock::time_point prof_decision_start;
-      if (profiler_) {
-        prof_decision_start = ProfClock::now();
-        prof_tick_ns +=
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                prof_decision_start - prof_segment_start)
-                .count();
-      }
       const double epoch_s = ticks_per_epoch * dt;
       // Thermal emergencies land before the observation is taken so the
       // governor sees (and the throttle reacts to) the spiked state.
@@ -260,13 +235,6 @@ RunResult SimEngine::run(workload::Scenario& scenario,
       }
       mark_epoch_start();
       ++epochs;
-      if (profiler_) {
-        prof_segment_start = ProfClock::now();
-        prof_decision_ns +=
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                prof_segment_start - prof_decision_start)
-                .count();
-      }
     }
   }
 
@@ -335,11 +303,6 @@ RunResult SimEngine::run(workload::Scenario& scenario,
     runs_counter_->inc();
     epochs_counter_->inc(epochs);
     ticks_counter_->inc(static_cast<std::uint64_t>(total_ticks));
-  }
-  if (tick_timer_) {
-    tick_timer_->add(static_cast<std::uint64_t>(prof_tick_ns), epochs);
-    decision_timer_->add(static_cast<std::uint64_t>(prof_decision_ns),
-                         epochs);
   }
   return result;
 }

@@ -18,9 +18,7 @@
 namespace pmrl::obs {
 class TraceSink;
 class MetricsRegistry;
-class Profiler;
 class Counter;
-class TimerStat;
 }  // namespace pmrl::obs
 
 namespace pmrl::core {
@@ -117,11 +115,6 @@ class SimEngine {
   void set_metrics(obs::MetricsRegistry* metrics);
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Attaches a profiler (nullptr detaches): the run loop charges tick vs
-  /// decision time at epoch granularity (two clock reads per epoch).
-  void set_profiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() const { return profiler_; }
-
   const EngineConfig& config() const { return engine_config_; }
   const soc::SocConfig& soc_config() const { return soc_config_; }
 
@@ -131,13 +124,10 @@ class SimEngine {
   fault::FaultInjector* fault_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
   // Instruments resolved once at attach time (registry lookups lock).
   obs::Counter* runs_counter_ = nullptr;
   obs::Counter* epochs_counter_ = nullptr;
   obs::Counter* ticks_counter_ = nullptr;
-  obs::TimerStat* tick_timer_ = nullptr;
-  obs::TimerStat* decision_timer_ = nullptr;
 };
 
 }  // namespace pmrl::core

@@ -3,8 +3,7 @@
 // tick by tick exactly like the single-SoC SimEngine advances its Soc — the
 // power model is evaluated every tick, state lives in a heap-allocated
 // per-object cluster vector, decisions are taken one state at a time. This
-// is both the golden reference the SoA FleetEngine must match bit-for-bit
-// and the baseline bench_fleet measures the SoA speedup against.
+// is the golden reference the SoA FleetEngine must match bit-for-bit.
 
 #include <cstdint>
 #include <vector>

@@ -85,7 +85,8 @@ std::vector<std::string> trace_csv_header(std::size_t cluster_count) {
       "total_energy_j", "quality",  "violations", "releases",
       "power_w",  "latency_s",      "value",    "detail"};
   for (std::size_t c = 0; c < cluster_count; ++c) {
-    const std::string prefix = "c" + std::to_string(c) + "_";
+    const std::string prefix =
+        std::string("c").append(std::to_string(c)).append("_");
     header.push_back(prefix + "opp");
     header.push_back(prefix + "freq_hz");
     header.push_back(prefix + "util");

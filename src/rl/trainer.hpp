@@ -19,7 +19,7 @@ namespace pmrl::rl {
 struct TrainerConfig {
   std::size_t episodes = 60;
   /// Scenarios rotated round-robin across episodes; empty means "all six".
-  std::vector<workload::ScenarioKind> scenarios;
+  std::vector<workload::ScenarioKind> scenarios{};
   /// Base seed for workload generation.
   std::uint64_t workload_seed = 42;
   /// If true each episode uses a different workload seed (base + episode),

@@ -931,9 +931,6 @@ void PolicyServer::process_batch(Worker& worker) {
   auto& batch = worker.batch;
   if (batch.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  if (config_.batch_process_delay.count() > 0) {
-    std::this_thread::sleep_for(config_.batch_process_delay);
-  }
   std::shared_ptr<const ActionSnapshot> snapshot;
   {
     const std::lock_guard<std::mutex> lock(snapshot_mutex_);

@@ -116,11 +116,6 @@ struct ServerConfig {
   rl::RlGovernorConfig governor;
   std::size_t cluster_count = 2;
 
-  /// Artificial per-batch processing delay. 0 in production; the overload
-  /// bench uses it to pin the service rate below the offered load so
-  /// shedding behaviour is measured deterministically.
-  std::chrono::microseconds batch_process_delay{0};
-
   // ---- canary rollout -----------------------------------------------------
   /// Policy registry directory (empty = no registry). With a registry and
   /// an empty policy_path, the incumbent loads from the registry's CURRENT

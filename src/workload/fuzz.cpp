@@ -373,7 +373,10 @@ void FuzzScenario::setup(WorkloadHost& host) {
       ActiveSource active;
       active.source = &source;
       active.task = host.create_task(
-          "p" + std::to_string(p) + "s" + std::to_string(s),
+          std::string("p")
+              .append(std::to_string(p))
+              .append("s")
+              .append(std::to_string(s)),
           source.affinity, 1.0);
       active.phase_start_s = phase_start;
       active.phase_end_s = phase_end;

@@ -127,21 +127,26 @@ TEST(BudgetFleet, EpochSeriesTracksTheCapSchedule) {
 }
 
 TEST(BudgetFleet, FleetSettlesUnderTheSteppedCap) {
-  fleet::FleetConfig config = small_budgeted_config();
-  config.duration_s = 4.0;
-  const fleet::FleetResult r = fleet::FleetEngine(config).run();
-  ASSERT_GE(r.budget.settle_epochs, 0);
-  // The governor can only descend one OPP per epoch, so the bound is the
-  // OPP table depth plus slack — not a tuning constant.
-  EXPECT_LE(r.budget.settle_epochs, 25);
-  // Once settled, epoch power stays at or under the effective cap.
-  const std::size_t settled = r.budget.last_step_epoch +
-                              static_cast<std::size_t>(r.budget.settle_epochs);
-  for (std::size_t e = settled; e < r.epoch_series.size(); ++e) {
-    const double power_w = r.epoch_series[e].energy_j / 0.1;
-    EXPECT_LE(power_w, r.epoch_series[e].cap_w * 1.02) << "epoch " << e;
+  for (const char* policy : {"uniform", "demand", "rl"}) {
+    SCOPED_TRACE(policy);
+    fleet::FleetConfig config = small_budgeted_config();
+    config.duration_s = 4.0;
+    config.budget.policy = policy;
+    const fleet::FleetResult r = fleet::FleetEngine(config).run();
+    ASSERT_GE(r.budget.settle_epochs, 0);
+    // The governor can only descend one OPP per epoch, so the bound is the
+    // OPP table depth plus slack — not a tuning constant.
+    EXPECT_LE(r.budget.settle_epochs, 25);
+    // Once settled, epoch power stays at or under the effective cap.
+    const std::size_t settled =
+        r.budget.last_step_epoch +
+        static_cast<std::size_t>(r.budget.settle_epochs);
+    for (std::size_t e = settled; e < r.epoch_series.size(); ++e) {
+      const double power_w = r.epoch_series[e].energy_j / 0.1;
+      EXPECT_LE(power_w, r.epoch_series[e].cap_w * 1.02) << "epoch " << e;
+    }
+    EXPECT_TRUE(r.budget.audit_error.empty()) << r.budget.audit_error;
   }
-  EXPECT_TRUE(r.budget.audit_error.empty()) << r.budget.audit_error;
 }
 
 // The acceptance-scale scenario: a 10x global-cap step-change propagating

@@ -22,7 +22,8 @@ PolicySummary summary_of(const std::string& name,
   summary.governor = name;
   int i = 0;
   for (double v : epqos) {
-    summary.runs.push_back(run_with("s" + std::to_string(i++), v));
+    summary.runs.push_back(
+        run_with(std::string("s").append(std::to_string(i++)), v));
   }
   return summary;
 }

@@ -61,7 +61,8 @@ TEST(SchedulerTest, SpreadsTasksAcrossCores) {
   TaskSet tasks;
   std::vector<TaskId> ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(tasks.create("t" + std::to_string(i), Affinity::Any));
+    ids.push_back(
+        tasks.create(std::string("t").append(std::to_string(i)), Affinity::Any));
     tasks.at(ids.back()).submit(make_job(static_cast<JobId>(i + 1), 1e6));
   }
   Scheduler scheduler;
@@ -146,8 +147,8 @@ TEST(SchedulerTest, DeterministicAcrossIdenticalRuns) {
     TaskSet tasks;
     std::vector<TaskId> ids;
     for (int i = 0; i < 6; ++i) {
-      ids.push_back(tasks.create("t" + std::to_string(i), Affinity::Any,
-                                 1.0 + i % 3));
+      ids.push_back(tasks.create(std::string("t").append(std::to_string(i)),
+                                 Affinity::Any, 1.0 + i % 3));
       tasks.at(ids.back()).submit(make_job(static_cast<JobId>(i + 1), 1e6));
     }
     Scheduler scheduler;
@@ -174,7 +175,8 @@ TEST(SchedulerTest, StaggeredPeriodicTasksSpreadAcrossCores) {
   TaskSet tasks;
   std::vector<TaskId> ids;
   for (int i = 0; i < 2; ++i) {
-    ids.push_back(tasks.create("w" + std::to_string(i), Affinity::PreferBig));
+    ids.push_back(tasks.create(std::string("w").append(std::to_string(i)),
+                               Affinity::PreferBig));
   }
   Scheduler scheduler(SchedulerConfig{0.010});
 
