@@ -235,6 +235,7 @@ Args parse(int argc, char** argv) {
       parse_into(args.seed);
     } else if (arg == "--duration") {
       parse_into(args.duration_s);
+      if (args.duration_s <= 0.0) throw UsageError("--duration must be > 0");
     } else if (arg == "--out") {
       args.out = next();
     } else if (arg == "--scenario") {

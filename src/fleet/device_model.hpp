@@ -260,17 +260,18 @@ inline bool update_throttle(bool throttled, double temp_c, double trip_c,
   return throttled;
 }
 
-/// Applies a policy action to the OPP index, then the throttle cap.
+/// Applies a policy action to the OPP index, then the throttle cap. The
+/// actions are ordered down < hold < up, so `action - 1` is the step; the
+/// stepped index is clamped to the table, and to the throttle cap when
+/// throttled, with integer min/max instead of data-dependent branches.
 inline std::uint32_t apply_action(std::uint32_t opp, std::uint32_t action,
                                   const ArchetypeCluster& arch,
                                   bool throttled) {
-  if (action == kActionDown) {
-    if (opp > 0) --opp;
-  } else if (action == kActionUp) {
-    if (opp + 1 < arch.opp_count) ++opp;
-  }
-  if (throttled) opp = std::min(opp, arch.throttle_cap_index);
-  return opp;
+  const std::int32_t stepped = static_cast<std::int32_t>(opp + action) - 1;
+  const std::uint32_t top = arch.opp_count - 1;
+  const std::uint32_t ceiling =
+      throttled ? std::min(top, arch.throttle_cap_index) : top;
+  return std::min(static_cast<std::uint32_t>(std::max(stepped, 0)), ceiling);
 }
 
 // ---- Fleet-level configuration --------------------------------------------

@@ -114,261 +114,168 @@ void FleetEngine::reset_state() {
   }
 }
 
-FleetEngine::BlockScratch FleetEngine::make_scratch(std::size_t first,
-                                                    std::size_t last,
-                                                    bool budgeted) const {
-  BlockScratch s;
-  s.first = first;
-  s.last = last;
-  const std::size_t n = last - first;
-  const std::size_t slots = n * kMaxClusters;
-  s.busy.resize(slots);
-  s.t_target.resize(slots);
-  s.p_total.resize(n);
-  s.served_rate.resize(n);
-  s.demand_rate.resize(n);
-  s.states.resize(slots);
-  s.actions.resize(slots);
-  if (budgeted) {
-    s.cl_dem.resize(slots);
-    s.cl_tf.resize(slots);
-    s.cl_power.resize(slots);
-    s.cl_served.resize(slots);
-  }
-  return s;
+FleetEngine::EpochStats FleetEngine::epoch_pass(std::size_t first,
+                                                std::size_t last,
+                                                std::size_t e,
+                                                const double* caps_w) {
+  // Chunks of four devices keep ~6*4 independent FMA dependency chains in
+  // flight in the tick sweep, hiding the multiply-add latency that a
+  // one-device-at-a-time loop serializes on; the tail goes one by one.
+  EpochStats st;
+  std::size_t d = first;
+  for (; d + 4 <= last; d += 4) advance_chunk<4>(d, e, caps_w, st);
+  for (; d < last; ++d) advance_chunk<1>(d, e, caps_w, st);
+  return st;
 }
 
-FleetEngine::EpochStats FleetEngine::epoch_pass(BlockScratch& s, std::size_t e,
-                                                const double* caps_w) {
-  const std::size_t first = s.first;
-  const std::size_t last = s.last;
-  const std::size_t slots = (last - first) * kMaxClusters;
-  EpochStats st;
+template <std::size_t K>
+void FleetEngine::advance_chunk(std::size_t d0, std::size_t e,
+                                const double* caps_w, EpochStats& st) {
+  constexpr std::size_t kSlots = K * kMaxClusters;
+  const std::size_t i0 = d0 * kMaxClusters;
+  const Archetype* ar[K];
+  // Per-slot epoch values: demand, held leakage temp factor, busy fraction,
+  // thermal target, power and served rate.
+  double dem[kSlots], tf[kSlots], bz[kSlots], tt[kSlots], pw[kSlots],
+      sr[kSlots];
+  // Per-device epoch values: total power, served and demanded rate.
+  double p_total[K], srs[K], drs[K];
 
   // Epoch start: hash demand, hold the leakage temp factor, derive every
   // epoch-constant quantity once. The AoS baseline re-derives these on
   // every tick; the values are identical because every input is
   // epoch-constant.
-  for (std::size_t d = first; d < last; ++d) {
-    const std::size_t li = d - first;
-    const Archetype& ar = archetypes_[arch_[d]];
+  for (std::size_t k = 0; k < K; ++k) {
+    const std::size_t d = d0 + k;
+    ar[k] = &archetypes_[arch_[d]];
     const std::uint64_t dev_seed = seed_[d];
     const double ambient = ambient_c_[d];
-    double pt = ar.uncore_static_w;
-    double srs = 0.0;
-    double drs = 0.0;
+    double pt = ar[k]->uncore_static_w;
+    double srs_k = 0.0;
+    double drs_k = 0.0;
     for (std::size_t c = 0; c < kMaxClusters; ++c) {
-      const std::size_t i = d * kMaxClusters + c;
-      const std::size_t si = li * kMaxClusters + c;
-      const ArchetypeCluster& ac = ar.clusters[c];
+      const std::size_t j = k * kMaxClusters + c;
+      const std::size_t i = i0 + j;
+      const ArchetypeCluster& ac = ar[k]->clusters[c];
       const DeviceClusterSpec& cs = cluster_spec_[i];
       const std::uint32_t pos = demand_pos_[i];
-      const double dem = epoch_demand_at(cs, dev_seed, e, c, pos);
+      dem[j] = epoch_demand_at(cs, dev_seed, e, c, pos);
       const std::uint32_t next = pos + 1;
       demand_pos_[i] = next == cs.demand_period_epochs ? 0u : next;
-      const double tf = leak_temp_factor(ac.leak_temp_coeff, temp_c_[i],
-                                         ac.leak_ref_temp_c);
+      tf[j] = leak_temp_factor(ac.leak_temp_coeff, temp_c_[i],
+                               ac.leak_ref_temp_c);
       const ClusterEpochDerived der =
-          derive_cluster_epoch(ac, opp_[i], dem, tf, ambient, r_th_[i]);
-      s.busy[si] = der.busy;
-      s.t_target[si] = der.t_target_c;
+          derive_cluster_epoch(ac, opp_[i], dem[j], tf[j], ambient, r_th_[i]);
+      bz[j] = der.busy;
+      tt[j] = der.t_target_c;
+      pw[j] = der.power_w;
+      sr[j] = der.served_rate;
       pt += der.power_w;
-      srs += der.served_rate;
-      drs += dem;
-      if (caps_w) {
-        // Held per-slot inputs for the masked decision's step-up power
-        // projection at the end of the epoch.
-        s.cl_dem[si] = dem;
-        s.cl_tf[si] = tf;
-        s.cl_power[si] = der.power_w;
-        s.cl_served[si] = der.served_rate;
-      }
+      srs_k += der.served_rate;
+      drs_k += dem[j];
     }
-    s.p_total[li] = pt + ar.uncore_dyn_w * srs;
-    s.served_rate[li] = srs;
-    s.demand_rate[li] = drs;
+    p_total[k] = pt + ar[k]->uncore_dyn_w * srs_k;
+    srs[k] = srs_k;
+    drs[k] = drs_k;
     // Measured device power is next epoch's apportionment demand.
-    if (caps_w) demand_w_[d] = s.p_total[li];
+    if (caps_w) demand_w_[d] = p_total[k];
   }
 
   // Tick sweep: only the integrators run per tick — two FMA pairs per
-  // cluster slot plus the energy/battery update. Device-major with the
-  // epoch's ticks innermost, so each device's eight state words live in
-  // registers for the whole epoch instead of round-tripping to memory
-  // every tick. The per-device operation sequence is exactly the AoS
-  // engine's, so the bits are unchanged.
-  // Interleaving kTickChunk devices keeps ~6*kTickChunk independent FMA
-  // dependency chains in flight, hiding the multiply-add latency that a
-  // one-device-at-a-time loop serializes on. Per-device operation order
-  // is untouched, so interleaving cannot change any bit.
-  constexpr std::size_t kTickChunk = 4;
+  // cluster slot plus the energy/battery update, with the chunk's state in
+  // registers for the whole epoch. The per-device operation sequence is
+  // exactly the AoS engine's, so the bits are unchanged.
   const double util_decay = timing_.util_decay;
   const double dt = timing_.tick_s;
-  const std::size_t ticks = timing_.ticks_per_epoch;
-  {
-    std::size_t d = first;
-    for (; d + kTickChunk <= last; d += kTickChunk) {
-      const std::size_t li = d - first;
-      double u[kTickChunk * kMaxClusters];
-      double tc[kTickChunk * kMaxClusters];
-      double dec[kTickChunk * kMaxClusters];
-      double bz[kTickChunk * kMaxClusters];
-      double tt[kTickChunk * kMaxClusters];
-      double pw[kTickChunk];
-      double en[kTickChunk];
-      double bat[kTickChunk];
-      for (std::size_t k = 0; k < kTickChunk * kMaxClusters; ++k) {
-        u[k] = util_[d * kMaxClusters + k];
-        tc[k] = temp_c_[d * kMaxClusters + k];
-        dec[k] = temp_decay_[d * kMaxClusters + k];
-        bz[k] = s.busy[li * kMaxClusters + k];
-        tt[k] = s.t_target[li * kMaxClusters + k];
-      }
-      for (std::size_t k = 0; k < kTickChunk; ++k) {
-        pw[k] = s.p_total[li + k];
-        en[k] = energy_j_[d + k];
-        bat[k] = battery_j_[d + k];
-      }
-      for (std::size_t t = 0; t < ticks; ++t) {
-        for (std::size_t k = 0; k < kTickChunk * kMaxClusters; ++k) {
-          tick_cluster(u[k], tc[k], bz[k], tt[k], util_decay, dec[k]);
-        }
-        for (std::size_t k = 0; k < kTickChunk; ++k) {
-          tick_device_energy(en[k], bat[k], pw[k], dt);
-        }
-      }
-      for (std::size_t k = 0; k < kTickChunk * kMaxClusters; ++k) {
-        util_[d * kMaxClusters + k] = u[k];
-        temp_c_[d * kMaxClusters + k] = tc[k];
-      }
-      for (std::size_t k = 0; k < kTickChunk; ++k) {
-        energy_j_[d + k] = en[k];
-        battery_j_[d + k] = bat[k];
-      }
+  double u[kSlots], tc[kSlots], dec[kSlots];
+  double en[K], bat[K];
+  for (std::size_t j = 0; j < kSlots; ++j) {
+    u[j] = util_[i0 + j];
+    tc[j] = temp_c_[i0 + j];
+    dec[j] = temp_decay_[i0 + j];
+  }
+  for (std::size_t k = 0; k < K; ++k) {
+    en[k] = energy_j_[d0 + k];
+    bat[k] = battery_j_[d0 + k];
+  }
+  for (std::size_t t = 0; t < timing_.ticks_per_epoch; ++t) {
+    for (std::size_t j = 0; j < kSlots; ++j) {
+      tick_cluster(u[j], tc[j], bz[j], tt[j], util_decay, dec[j]);
     }
-    for (; d < last; ++d) {
-      const std::size_t li = d - first;
-      const std::size_t i0 = d * kMaxClusters;
-      const std::size_t s0 = li * kMaxClusters;
-      double u0 = util_[i0], u1 = util_[i0 + 1];
-      double tc0 = temp_c_[i0], tc1 = temp_c_[i0 + 1];
-      const double dec0 = temp_decay_[i0], dec1 = temp_decay_[i0 + 1];
-      const double b0 = s.busy[s0], b1 = s.busy[s0 + 1];
-      const double tt0 = s.t_target[s0], tt1 = s.t_target[s0 + 1];
-      const double power = s.p_total[li];
-      double energy = energy_j_[d];
-      double battery = battery_j_[d];
-      for (std::size_t t = 0; t < ticks; ++t) {
-        tick_cluster(u0, tc0, b0, tt0, util_decay, dec0);
-        tick_cluster(u1, tc1, b1, tt1, util_decay, dec1);
-        tick_device_energy(energy, battery, power, dt);
-      }
-      util_[i0] = u0;
-      util_[i0 + 1] = u1;
-      temp_c_[i0] = tc0;
-      temp_c_[i0 + 1] = tc1;
-      energy_j_[d] = energy;
-      battery_j_[d] = battery;
+    for (std::size_t k = 0; k < K; ++k) {
+      tick_device_energy(en[k], bat[k], p_total[k], dt);
     }
   }
+  for (std::size_t j = 0; j < kSlots; ++j) {
+    util_[i0 + j] = u[j];
+    temp_c_[i0 + j] = tc[j];
+  }
+  for (std::size_t k = 0; k < K; ++k) {
+    energy_j_[d0 + k] = en[k];
+    battery_j_[d0 + k] = bat[k];
+  }
 
-  // QoS accounting (identical closed forms to DeviceEngine::step_epoch).
-  for (std::size_t d = first; d < last; ++d) {
-    const std::size_t li = d - first;
-    const double epoch_served = s.served_rate[li] * timing_.epoch_s;
-    const double epoch_demand_cap = s.demand_rate[li] * timing_.epoch_s;
+  // QoS accounting (identical closed forms to DeviceEngine::step_epoch),
+  // then the decision: bin the observation, read the action table, latch
+  // the throttle, and on a budgeted epoch veto in place — a device already
+  // over its cap sheds everywhere, and an Up whose projected step-up power
+  // would cross the cap takes the {down, hold} entry instead.
+  const FleetPolicy::ActionTable& greedy = policy_.greedy_table();
+  const FleetPolicy::ActionTable& down_hold = policy_.down_hold_table();
+  for (std::size_t k = 0; k < K; ++k) {
+    const std::size_t d = d0 + k;
+    const double epoch_served = srs[k] * timing_.epoch_s;
+    const double epoch_demand_cap = drs[k] * timing_.epoch_s;
     served_[d] += epoch_served;
     demand_[d] += epoch_demand_cap;
     const bool violated = epoch_served < epoch_demand_cap * kQosSlack;
     if (violated) ++violations_[d];
-    st.power_w += s.p_total[li];
+    st.power_w += p_total[k];
     st.served += epoch_served;
     st.demand += epoch_demand_cap;
     if (violated) ++st.violations;
-    if (caps_w && s.p_total[li] > caps_w[d]) {
+    const double cap = caps_w ? caps_w[d] : 0.0;
+    const bool over_cap = caps_w && p_total[k] > cap;
+    if (over_cap) {
       // Over cap but already pinned at the bottom OPP everywhere: the
       // governor has nothing left to shed, so don't count it as pressure.
       bool pinned = true;
-      const std::size_t active = archetypes_[arch_[d]].cluster_count;
-      for (std::size_t c = 0; c < active; ++c) {
-        if (opp_[d * kMaxClusters + c] != 0) {
-          pinned = false;
-          break;
-        }
+      for (std::size_t c = 0; c < ar[k]->cluster_count; ++c) {
+        if (opp_[i0 + k * kMaxClusters + c] != 0) pinned = false;
       }
       if (!pinned) ++st.over_cap;
     }
-  }
 
-  // Decision: bin every cluster slot's observation, pick the whole
-  // block's actions with one batched argmax, then gate by the throttle.
-  for (std::size_t d = first; d < last; ++d) {
-    const std::size_t li = d - first;
-    const Archetype& ar = archetypes_[arch_[d]];
+    double proj = p_total[k];
     for (std::size_t c = 0; c < kMaxClusters; ++c) {
-      const std::size_t i = d * kMaxClusters + c;
-      const ArchetypeCluster& ac = ar.clusters[c];
-      s.states[li * kMaxClusters + c] =
-          cluster_state(util_[i], temp_c_[i], ac.opp_freq_bin[opp_[i]]);
-      // The throttle latch depends only on the post-tick temperature, not
-      // on the chosen action, so it folds into this same sweep instead of
-      // paying a second pass over temp_c_.
-      throttled_[i] = update_throttle(throttled_[i] != 0, temp_c_[i],
-                                      ac.trip_temp_c, ac.clear_temp_c)
-                          ? 1
-                          : 0;
-    }
-  }
-  policy_.greedy_batch(s.states.data(), slots, s.actions.data());
-  if (caps_w) {
-    // Mask-then-argmax cap enforcement: the free batched argmax above is
-    // untouched; only devices whose cap vetoes the choice re-resolve.
-    for (std::size_t d = first; d < last; ++d) {
-      const std::size_t li = d - first;
-      const double cap = caps_w[d];
-      if (s.p_total[li] > cap) {
-        // Already above the cap: shed unconditionally.
-        for (std::size_t c = 0; c < kMaxClusters; ++c) {
-          s.actions[li * kMaxClusters + c] = kActionDown;
-        }
-        continue;
-      }
-      const Archetype& ar = archetypes_[arch_[d]];
-      double proj = s.p_total[li];
-      for (std::size_t c = 0; c < kMaxClusters; ++c) {
-        const std::size_t si = li * kMaxClusters + c;
-        if (s.actions[si] != kActionUp) continue;
-        const std::size_t i = d * kMaxClusters + c;
-        const ArchetypeCluster& ac = ar.clusters[c];
-        if (opp_[i] + 1 >= ac.opp_count) continue;
-        // Project this epoch's demand at the stepped-up OPP; the DVFS
-        // actions are power-ordered, so a vetoed Up re-argmaxes over the
-        // admissible {down, hold} prefix.
+      const std::size_t j = k * kMaxClusters + c;
+      const std::size_t i = i0 + j;
+      const ArchetypeCluster& ac = ar[k]->clusters[c];
+      const std::uint32_t opp = opp_[i];
+      const std::uint32_t state =
+          cluster_state(u[j], tc[j], ac.opp_freq_bin[opp]);
+      const bool throttled = update_throttle(throttled_[i] != 0, tc[j],
+                                             ac.trip_temp_c, ac.clear_temp_c);
+      throttled_[i] = throttled ? 1 : 0;
+      std::uint32_t action = greedy[state];
+      if (over_cap) {
+        action = kActionDown;
+      } else if (caps_w && action == kActionUp && opp + 1 < ac.opp_count) {
+        // Project this epoch's demand at the stepped-up OPP.
         const ClusterEpochDerived up = derive_cluster_epoch(
-            ac, opp_[i] + 1, s.cl_dem[si], s.cl_tf[si], ambient_c_[d],
-            r_th_[i]);
+            ac, opp + 1, dem[j], tf[j], ambient_c_[d], r_th_[i]);
         const double delta =
-            (up.power_w + ar.uncore_dyn_w * up.served_rate) -
-            (s.cl_power[si] + ar.uncore_dyn_w * s.cl_served[si]);
+            (up.power_w + ar[k]->uncore_dyn_w * up.served_rate) -
+            (pw[j] + ar[k]->uncore_dyn_w * sr[j]);
         if (proj + delta > cap) {
-          s.actions[si] = policy_.greedy_allowed(
-              static_cast<std::uint32_t>(s.states[si]), 2);
+          action = down_hold[state];
         } else {
           proj += delta;
         }
       }
+      opp_[i] = apply_action(opp, action, ac, throttled);
     }
   }
-  for (std::size_t d = first; d < last; ++d) {
-    const std::size_t li = d - first;
-    const Archetype& ar = archetypes_[arch_[d]];
-    for (std::size_t c = 0; c < kMaxClusters; ++c) {
-      const std::size_t i = d * kMaxClusters + c;
-      opp_[i] = apply_action(opp_[i], s.actions[li * kMaxClusters + c],
-                             ar.clusters[c], throttled_[i] != 0);
-    }
-  }
-  return st;
 }
 
 FleetEngine::BlockResult FleetEngine::finalize_block(
@@ -464,20 +371,19 @@ FleetResult FleetEngine::run_unbudgeted() {
   std::vector<DeviceOutcome>* outcomes =
       config_.record_devices ? &result.device_outcomes : nullptr;
 
-  // One farm task per block. Tasks write disjoint SoA slices and their own
-  // scratch; partial aggregates come back through run_ordered in block
-  // order, so the merge below is the same fp reduction at any --jobs.
+  // One farm task per block. Tasks write disjoint SoA slices; partial
+  // aggregates come back through run_ordered in block order, so the merge
+  // below is the same fp reduction at any --jobs.
   std::vector<std::function<BlockResult()>> tasks;
   for (std::size_t first = 0; first < config_.devices;
        first += config_.block_size) {
     const std::size_t last =
         std::min(config_.devices, first + config_.block_size);
     tasks.push_back([this, first, last, outcomes] {
-      BlockScratch s = make_scratch(first, last, false);
       std::vector<FleetEpochPoint> series;
       if (config_.record_epochs) series.resize(timing_.epochs);
       for (std::size_t e = 0; e < timing_.epochs; ++e) {
-        const EpochStats st = epoch_pass(s, e, nullptr);
+        const EpochStats st = epoch_pass(first, last, e, nullptr);
         if (config_.record_epochs) {
           FleetEpochPoint& ep = series[e];
           ep.time_s = static_cast<double>(e + 1) * timing_.epoch_s;
@@ -522,13 +428,10 @@ FleetResult FleetEngine::run_budgeted() {
   if (config_.record_epochs) result.epoch_series.resize(timing_.epochs);
 
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  std::vector<BlockScratch> scratch;
   for (std::size_t first = 0; first < config_.devices;
        first += config_.block_size) {
-    const std::size_t last =
-        std::min(config_.devices, first + config_.block_size);
-    ranges.emplace_back(first, last);
-    scratch.push_back(make_scratch(first, last, true));
+    ranges.emplace_back(first,
+                        std::min(config_.devices, first + config_.block_size));
   }
   std::unique_ptr<core::runfarm::ThreadPool> pool;
   if (jobs_ > 1) pool = std::make_unique<core::runfarm::ThreadPool>(jobs_);
@@ -544,13 +447,11 @@ FleetResult FleetEngine::run_budgeted() {
   // counter, which only the serial loop below mutates (between rounds).
   std::size_t current_epoch = 0;
   std::vector<std::function<EpochStats()>> tasks;
-  tasks.reserve(scratch.size());
-  for (std::size_t b = 0; b < scratch.size(); ++b) {
-    BlockScratch* s = &scratch[b];
-    tasks.push_back(
-        [this, s, &current_epoch] {
-          return epoch_pass(*s, current_epoch, caps_w_.data());
-        });
+  tasks.reserve(ranges.size());
+  for (const auto& [first, last] : ranges) {
+    tasks.push_back([this, first = first, last = last, &current_epoch] {
+      return epoch_pass(first, last, current_epoch, caps_w_.data());
+    });
   }
   for (std::size_t e = 0; e < timing_.epochs; ++e) {
     const double t = static_cast<double>(e) * timing_.epoch_s;

@@ -1,28 +1,32 @@
 #pragma once
 // SoA fleet executor: advances 10^5..10^6 devices with struct-of-arrays
-// state, cache-friendly block sweeps, batched SIMD action selection, and
-// run-farm sharding. Produces results bit-identical to running one AoS
+// state, one fused pass per chunk of four devices, table-read decisions,
+// and run-farm sharding. Produces results bit-identical to running one AoS
 // DeviceEngine per device (see device_engine.hpp) at any --jobs count and
 // any block size — the layout/scheduling is the optimization, never the
 // arithmetic:
 //
 //  * State is flat arrays indexed [device * kMaxClusters + cluster] (fixed
 //    stride; single-cluster devices carry an inert zero-power slot), so the
-//    tick sweep streams contiguously instead of chasing one heap object per
+//    sweep streams contiguously instead of chasing one heap object per
 //    device.
-//  * Devices are swept in blocks of config.block_size: a block's working
-//    set (~100 B/device) stays cache-resident while the block is advanced
-//    through a whole epoch, and blocks are the unit of parallelism — each
-//    block is one run-farm task (run_ordered), owning all of its mutable
-//    state per the farm's RNG-stream isolation rule. Workload draws are
-//    stateless hashes of (device seed, epoch, cluster), so any partition of
-//    devices into blocks and any thread schedule replays identical draws.
+//  * Devices are swept in blocks of config.block_size, and blocks are the
+//    unit of parallelism — each block is one run-farm task (run_ordered),
+//    owning all of its mutable state per the farm's RNG-stream isolation
+//    rule. Workload draws are stateless hashes of (device seed, epoch,
+//    cluster), so any partition of devices into blocks and any thread
+//    schedule replays identical draws.
+//  * Within a block, each chunk of four devices (then the tail one by one)
+//    runs derive, tick sweep, QoS accounting and decision in one pass, with
+//    every per-epoch value in locals: nothing per-epoch goes back to memory
+//    except the SoA state itself.
 //  * Everything epoch-constant (demand, leakage temp factor, cluster power,
 //    thermal target, served rate) is derived once per epoch; the AoS
 //    baseline re-derives it every tick like the full SimEngine does. Same
 //    inputs, same expressions, same bits — roughly 10x less arithmetic.
-//  * Decision epochs select actions for a whole block with the AVX2 batched
-//    argmax (rl::batch_argmax_f64), bit-exact with the scalar policy scan.
+//  * A decision is one read of the frozen policy's action table
+//    (FleetPolicy::greedy_table), equal to the scalar policy scan, and the
+//    OPP moves by the branch-free apply_action.
 //  * Aggregates (fleet energy, QoS, per-device energy-per-QoS histogram for
 //    percentiles) are accumulated per block and merged in fixed block
 //    order, so serial and parallel runs produce bit-identical totals.
@@ -32,13 +36,12 @@
 // every epoch, a serial budget::BudgetTree pass apportions the global cap
 // into per-device caps from the previous epoch's measured per-device power
 // (the demand column each block wrote into its disjoint slice), then the
-// blocks advance one epoch in parallel. Cap enforcement is mask-then-
-// argmax: the free batched argmax runs unchanged, and only devices whose
-// cap vetoes the choice (over cap, or a step-up that would overshoot it)
-// re-argmax over the admissible power-ordered action prefix, so the SoA
-// tick throughput survives. Caps are bit-identical at any --jobs and any
-// --block because the apportionment is a serial pure function of the
-// demand column.
+// blocks advance one epoch in parallel. The cap vetoes in place: a device
+// already over its cap steps every cluster down, and an Up whose projected
+// step-up power would cross the cap takes the policy's {down, hold} table
+// entry (FleetPolicy::down_hold_table) instead. Caps are bit-identical at
+// any --jobs and any --block because the apportionment is a serial pure
+// function of the demand column.
 
 #include <cstddef>
 #include <cstdint>
@@ -162,32 +165,18 @@ class FleetEngine {
     std::uint64_t violations = 0;
     std::uint64_t over_cap = 0;
   };
-  /// Block-local scratch; owned by one farm task at a time.
-  struct BlockScratch {
-    std::size_t first = 0;
-    std::size_t last = 0;
-    std::vector<double> busy;
-    std::vector<double> t_target;
-    std::vector<double> p_total;
-    std::vector<double> served_rate;
-    std::vector<double> demand_rate;
-    std::vector<std::uint64_t> states;
-    std::vector<std::uint32_t> actions;
-    // Budget mode only: per-slot held demand/temp-factor/power/served for
-    // the step-up power projection in the masked decision.
-    std::vector<double> cl_dem;
-    std::vector<double> cl_tf;
-    std::vector<double> cl_power;
-    std::vector<double> cl_served;
-  };
-
   void reset_state();
-  BlockScratch make_scratch(std::size_t first, std::size_t last,
-                            bool budgeted) const;
-  /// Advances one block through one epoch: derive, tick sweep, QoS
-  /// accounting, decision. caps_w == nullptr is the free (unbudgeted)
-  /// path; non-null enables the demand-column write and cap enforcement.
-  EpochStats epoch_pass(BlockScratch& s, std::size_t e, const double* caps_w);
+  /// Advances the block [first, last) through epoch e, one device chunk at
+  /// a time. caps_w == nullptr is the free (unbudgeted) path; non-null
+  /// enables the demand-column write and cap enforcement.
+  EpochStats epoch_pass(std::size_t first, std::size_t last, std::size_t e,
+                        const double* caps_w);
+  /// Advances devices [d0, d0 + K) through epoch e in one pass — derive,
+  /// tick sweep, QoS accounting, decision — holding every per-epoch value
+  /// in locals, and adds their partials to st in device order.
+  template <std::size_t K>
+  void advance_chunk(std::size_t d0, std::size_t e, const double* caps_w,
+                     EpochStats& st);
   /// Per-device outcome/energy-percentile reduction over [first, last).
   BlockResult finalize_block(std::size_t first, std::size_t last,
                              std::vector<DeviceOutcome>* outcomes) const;

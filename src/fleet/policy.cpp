@@ -1,14 +1,14 @@
 #include "fleet/policy.hpp"
 
-#include "rl/batch_argmax.hpp"
-
 namespace pmrl::fleet {
 
 FleetPolicy::FleetPolicy()
     : table_(kStateCount * kActionCount, 0.0),
       // Energy-order prior, same shape as the RL governor's DVFS bias:
       // when indifferent prefer down, then hold, then up.
-      bias_{0.02, 0.01, 0.0} {}
+      bias_{0.02, 0.01, 0.0} {
+  for (std::uint32_t s = 0; s < kStateCount; ++s) refresh(s);
+}
 
 FleetPolicy FleetPolicy::default_policy() {
   FleetPolicy p;
@@ -36,6 +36,12 @@ FleetPolicy FleetPolicy::default_policy() {
   return p;
 }
 
+void FleetPolicy::set_q(std::uint32_t state, std::uint32_t action,
+                        double value) {
+  table_[state * kActionCount + action] = value;
+  refresh(state);
+}
+
 std::uint32_t FleetPolicy::greedy(std::uint32_t state) const {
   const double* row = table_.data() + state * kActionCount;
   std::uint32_t best = 0;
@@ -50,16 +56,19 @@ std::uint32_t FleetPolicy::greedy(std::uint32_t state) const {
   return best;
 }
 
-void FleetPolicy::greedy_batch(const std::uint64_t* states, std::size_t count,
-                               std::uint32_t* actions) const {
-  rl::batch_argmax_f64(table_.data(), kActionCount, bias_.data(), states,
-                       count, actions);
+void FleetPolicy::refresh(std::uint32_t state) {
+  const double* row = table_.data() + state * kActionCount;
+  greedy_[state] = static_cast<std::uint8_t>(greedy(state));
+  // The same strict > scan, over the {down, hold} prefix only.
+  const double down = row[kActionDown] + bias_[kActionDown];
+  const double hold = row[kActionHold] + bias_[kActionHold];
+  down_hold_[state] =
+      static_cast<std::uint8_t>(hold > down ? kActionHold : kActionDown);
 }
 
-std::uint32_t FleetPolicy::greedy_allowed(std::uint32_t state,
-                                          std::uint32_t allowed) const {
-  return rl::argmax_prefix_f64(table_.data() + state * kActionCount,
-                               bias_.data(), allowed);
+void FleetPolicy::greedy_batch(const std::uint64_t* states, std::size_t count,
+                               std::uint32_t* actions) const {
+  for (std::size_t i = 0; i < count; ++i) actions[i] = greedy_[states[i]];
 }
 
 }  // namespace pmrl::fleet

@@ -25,20 +25,6 @@ void batch_argmax_f64_scalar(const double* values, std::size_t actions,
   }
 }
 
-std::uint32_t argmax_prefix_f64(const double* row, const double* bias,
-                                std::size_t allowed) {
-  std::uint32_t best = 0;
-  double best_value = row[0] + (bias ? bias[0] : 0.0);
-  for (std::size_t a = 1; a < allowed; ++a) {
-    const double v = row[a] + (bias ? bias[a] : 0.0);
-    if (v > best_value) {
-      best_value = v;
-      best = static_cast<std::uint32_t>(a);
-    }
-  }
-  return best;
-}
-
 #if defined(PMRL_BATCH_ARGMAX_X86)
 
 namespace {

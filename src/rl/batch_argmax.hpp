@@ -1,6 +1,6 @@
 #pragma once
-// Micro-batched greedy-action kernel for the fleet's whole-block action
-// selection and the float agent's greedy_actions.
+// Micro-batched greedy-action kernel for the float agent's greedy_actions
+// (QLearningAgent), which builds the serve layer's action tables.
 //
 // The kernel computes, for a batch of states, the argmax over the action
 // row of a dense row-major double Q store — exactly the scan
@@ -29,15 +29,6 @@ namespace pmrl::rl {
 void batch_argmax_f64(const double* values, std::size_t actions,
                       const double* bias, const std::uint64_t* states,
                       std::size_t count, std::uint32_t* out);
-
-/// Argmax over the first `allowed` actions of one Q row (`row[a]` plus the
-/// optional per-action bias), strict > so ties break toward the lowest
-/// index — the scalar scan restricted to a prefix of the action set. Used
-/// by constrained selection (the fleet budget layer masks the power-ordered
-/// DVFS actions down to the prefix a device's cap admits, then re-argmaxes
-/// only the vetoed slots). Requires allowed >= 1.
-std::uint32_t argmax_prefix_f64(const double* row, const double* bias,
-                                std::size_t allowed);
 
 /// Forced-scalar variant (reference implementation for parity tests).
 void batch_argmax_f64_scalar(const double* values, std::size_t actions,

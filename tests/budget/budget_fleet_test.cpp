@@ -1,8 +1,8 @@
 // Budgeted-fleet behavior: determinism of the caps and aggregates across
 // --jobs and --block (matching the unbudgeted identity-test pattern),
 // cap-step propagation through a 10^5-device fleet within a bounded epoch
-// count, and the mask-then-argmax cap enforcement actually holding the
-// fleet under the cap.
+// count, the in-place cap veto actually holding the fleet under the cap,
+// and a cap with headroom changing nothing.
 
 #include <gtest/gtest.h>
 
@@ -174,6 +174,30 @@ TEST(BudgetFleet, CapStepPropagatesThroughAHundredThousandDevices) {
   // throughput but must not zero it out).
   EXPECT_GT(r.served / r.demand, 0.4);
   EXPECT_LT(r.violation_rate, 0.9);
+}
+
+// A cap with headroom vetoes nothing: no device is over its cap and no
+// step-up crosses it, so the budgeted run — per-epoch apportion, epoch-major
+// rounds and the in-place veto — matches the same fleet run unbudgeted, bit
+// for bit.
+TEST(BudgetFleet, CapWithHeadroomMatchesTheUnbudgetedRun) {
+  fleet::FleetConfig budgeted = small_budgeted_config();
+  budgeted.budget.global_cap_w = 1e12;
+  budgeted.budget.schedule.clear();
+  fleet::FleetConfig free = budgeted;
+  free.budget = pmrl::budget::BudgetSpec{};
+  const fleet::FleetResult a = fleet::FleetEngine(budgeted).run();
+  const fleet::FleetResult b = fleet::FleetEngine(free).run();
+  ASSERT_TRUE(a.budget.enabled);
+  ASSERT_EQ(a.device_outcomes.size(), b.device_outcomes.size());
+  for (std::size_t d = 0; d < a.device_outcomes.size(); ++d) {
+    EXPECT_EQ(a.device_outcomes[d], b.device_outcomes[d]) << "device " << d;
+  }
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.demand, b.demand);
+  EXPECT_EQ(a.violation_epochs, b.violation_epochs);
+  EXPECT_EQ(a.budget.over_cap_device_epochs, 0u);
 }
 
 TEST(BudgetFleet, UnbudgetedRunsAreUntouchedByTheBudgetPlumbing) {

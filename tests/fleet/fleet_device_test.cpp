@@ -178,6 +178,48 @@ TEST(FleetDeviceModel, TimingResolution) {
   EXPECT_THROW(resolve_timing(c), std::invalid_argument);
 }
 
+// apply_action against its rule written out here: Down stops at 0, Up
+// stops at the top OPP, Hold keeps the OPP, and a throttled cluster is
+// capped at throttle_cap_index. Every table length an archetype can draw
+// (1..19), every OPP below it, every cap up to one past the top, every
+// action, throttled and not.
+TEST(FleetDeviceModel, ApplyActionMatchesTheRuleExhaustively) {
+  for (std::uint32_t n = 1; n <= 19; ++n) {
+    for (std::uint32_t cap = 0; cap <= n; ++cap) {
+      ArchetypeCluster ac;
+      ac.opp_count = n;
+      ac.throttle_cap_index = cap;
+      for (std::uint32_t opp = 0; opp < n; ++opp) {
+        for (std::uint32_t action = 0; action < kActionCount; ++action) {
+          for (const bool throttled : {false, true}) {
+            std::uint32_t want = opp;
+            if (action == kActionDown && opp > 0) want = opp - 1;
+            if (action == kActionUp && opp + 1 < n) want = opp + 1;
+            if (throttled && want > cap) want = cap;
+            EXPECT_EQ(apply_action(opp, action, ac, throttled), want)
+                << "opp_count " << n << " cap " << cap << " opp " << opp
+                << " action " << action << " throttled " << throttled;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Both action tables against independent scans for every state: the greedy
+// table against the greedy() scan, the {down, hold} table against a
+// two-action scan of q + bias written out here.
+void expect_tables_match_scans(const FleetPolicy& p) {
+  const auto& bias = p.bias();
+  for (std::uint32_t s = 0; s < kStateCount; ++s) {
+    EXPECT_EQ(p.greedy_table()[s], p.greedy(s)) << "state " << s;
+    const double down = p.q(s, kActionDown) + bias[kActionDown];
+    const double hold = p.q(s, kActionHold) + bias[kActionHold];
+    const std::uint32_t want = hold > down ? kActionHold : kActionDown;
+    EXPECT_EQ(p.down_hold_table()[s], want) << "state " << s;
+  }
+}
+
 TEST(FleetPolicyTest, GreedyMatchesBatch) {
   const FleetPolicy p = FleetPolicy::default_policy();
   std::vector<std::uint64_t> states;
@@ -187,6 +229,37 @@ TEST(FleetPolicyTest, GreedyMatchesBatch) {
   for (std::uint32_t s = 0; s < kStateCount; ++s) {
     EXPECT_EQ(batch[s], p.greedy(s)) << "state " << s;
   }
+  expect_tables_match_scans(p);
+  expect_tables_match_scans(FleetPolicy());
+}
+
+TEST(FleetPolicyTest, SetQRefreshesBothActionTables) {
+  const FleetPolicy base = FleetPolicy::default_policy();
+  FleetPolicy p = base;
+  // State 5 (cool, idle, top OPP) greedily steps down; make Up the greedy
+  // choice and Hold the best of {down, hold}.
+  p.set_q(5, kActionUp, 5.0);
+  p.set_q(5, kActionHold, 1.0);
+  // State 40 (cool, busy) holds; make Down win both scans.
+  p.set_q(40, kActionDown, 1.0);
+  // State 70 (hot): an exact tie between down and hold after the bias
+  // (0.0 + 0.02 == 0.01 + 0.01) breaks toward down.
+  p.set_q(70, kActionDown, 0.0);
+  p.set_q(70, kActionHold, 0.01);
+  p.set_q(70, kActionUp, -1.0);
+  expect_tables_match_scans(p);
+
+  EXPECT_EQ(base.greedy_table()[5], kActionDown);
+  EXPECT_EQ(p.greedy_table()[5], kActionUp);
+  EXPECT_EQ(base.down_hold_table()[5], kActionDown);
+  EXPECT_EQ(p.down_hold_table()[5], kActionHold);
+  EXPECT_EQ(base.greedy_table()[40], kActionHold);
+  EXPECT_EQ(p.greedy_table()[40], kActionDown);
+  EXPECT_EQ(base.down_hold_table()[40], kActionHold);
+  EXPECT_EQ(p.down_hold_table()[40], kActionDown);
+  EXPECT_EQ(p.down_hold_table()[70], kActionDown);
+  // The copy is independent of the policy it came from.
+  expect_tables_match_scans(base);
 }
 
 TEST(FleetPolicyTest, DefaultPolicyShedsWhenHotAndIdle) {
