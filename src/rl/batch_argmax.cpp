@@ -64,6 +64,10 @@ __attribute__((target("avx2"))) void batch_argmax_f64_avx2(
     }
   }
   if (i < count) {
+    // GCC 12 emits no vzeroupper before this sibling call, so without it
+    // the thread leaves with dirty upper YMM state and every later
+    // legacy-SSE instruction pays a transition penalty.
+    _mm256_zeroupper();
     batch_argmax_f64_scalar(values, actions, bias, states + i, count - i,
                             out + i);
   }

@@ -113,16 +113,16 @@ void Client::send_raw(const void* data, std::size_t len) {
 }
 
 util::Frame Client::read_frame() {
+  // The frame returned by the previous call views rx_, so its bytes are
+  // reclaimed only now, once the caller is done with it.
+  if (rx_off_ > 4096 && rx_off_ * 2 > rx_.size()) {
+    rx_.erase(0, rx_off_);
+    rx_off_ = 0;
+  }
   for (;;) {
     util::Frame frame;
     const auto status = util::decode_frame(rx_, rx_off_, frame);
-    if (status == util::FrameStatus::Ok) {
-      if (rx_off_ > 4096 && rx_off_ * 2 > rx_.size()) {
-        rx_.erase(0, rx_off_);
-        rx_off_ = 0;
-      }
-      return frame;
-    }
+    if (status == util::FrameStatus::Ok) return frame;
     if (status != util::FrameStatus::NeedMore) {
       throw ClientError(std::string("serve client: corrupt frame: ") +
                         util::frame_status_name(status));

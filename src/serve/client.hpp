@@ -77,6 +77,8 @@ class Client {
 
  private:
   explicit Client(int fd) : fd_(fd) {}
+  /// Next frame from the socket; its payload views rx_ and stays valid
+  /// until the next call.
   util::Frame read_frame();
   void send_all(const std::string& bytes);
 

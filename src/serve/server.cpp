@@ -219,15 +219,14 @@ void PolicyServer::set_metrics(obs::MetricsRegistry* metrics) {
 
 void PolicyServer::start() {
   if (running_) return;
+  // A configured policy that does not load stops start(): serving a
+  // fresh-init table in its place would answer every query wrongly.
   if (!config_.policy_path.empty()) {
     std::ifstream in(config_.policy_path);
-    std::string error;
-    if (!in) {
-      PMRL_WARN("serve") << "cannot open checkpoint '" << config_.policy_path
-                         << "'; serving fresh-init policy";
-    } else if (!rl::try_load_policy(*governor_, in, &error)) {
-      PMRL_WARN("serve") << "checkpoint rejected (" << error
-                         << "); serving fresh-init policy";
+    std::string error = "cannot open";
+    if (!in || !rl::try_load_policy(*governor_, in, &error)) {
+      throw PolicyRejectedError("serve: checkpoint '" + config_.policy_path +
+                                "' rejected: " + error);
     }
   }
   if (!config_.registry_dir.empty()) {
@@ -237,8 +236,9 @@ void PolicyServer::start() {
         try {
           registry_->load(*cur, *governor_);
         } catch (const std::exception& ex) {
-          PMRL_WARN("serve") << "registry CURRENT v" << *cur << " rejected ("
-                             << ex.what() << "); serving fresh-init policy";
+          throw PolicyRejectedError("serve: registry CURRENT v" +
+                                    std::to_string(*cur) + " rejected: " +
+                                    ex.what());
         }
       }
     }

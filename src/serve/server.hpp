@@ -32,10 +32,12 @@
 // serves a decision from a policy that was replaced before it began.
 //
 // Robustness semantics mirror the watchdog's graceful-degradation stance:
-// the service degrades instead of failing. A full pending queue (bounded
-// per shard) or an expired per-request deadline answers with the
-// safe-default action (all-hold) and the kRespSafeDefault flag — the
-// client always gets a usable decision and the connection never drops.
+// once started, the service degrades instead of failing (start() itself
+// fails closed on a configured policy that does not load). A full pending
+// queue (bounded per shard) or an expired per-request deadline answers
+// with the safe-default action (all-hold) and the kRespSafeDefault flag —
+// the client always gets a usable decision and the connection never
+// drops.
 // Corrupt frames (bad magic/version/length/CRC) close only the offending
 // connection — or poison only the offending shm lane: a stream that lost
 // framing cannot be resynchronized safely.
@@ -52,6 +54,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,7 +113,8 @@ struct ServerConfig {
 
   /// Policy checkpoint path; loaded at start() and on every reload. Empty
   /// serves the freshly constructed (or externally seeded) governor and
-  /// makes reload a no-op failure.
+  /// makes reload a no-op failure. A checkpoint that does not load makes
+  /// start() throw; a reload that fails keeps the serving policy.
   std::string policy_path;
   /// Governor shape served; must match the checkpoint's.
   rl::RlGovernorConfig governor;
@@ -119,14 +123,22 @@ struct ServerConfig {
   // ---- canary rollout -----------------------------------------------------
   /// Policy registry directory (empty = no registry). With a registry and
   /// an empty policy_path, the incumbent loads from the registry's CURRENT
-  /// pointer; with rollout.canary_pct > 0 a candidate is staged from the
-  /// registry at start() and on every reload (SIGHUP).
+  /// pointer (start() throws when that entry does not load); with
+  /// rollout.canary_pct > 0 a candidate is staged from the registry at
+  /// start() and on every reload (SIGHUP).
   std::string registry_dir;
   /// Registry version to canary; 0 picks the latest candidate entry.
   std::uint64_t candidate_version = 0;
   /// Canary evaluation knobs. canary_pct is the share of connections
   /// routed to the candidate via the deterministic per-connection hash.
   policy::RolloutConfig rollout;
+};
+
+/// start() refused to serve: the configured checkpoint cannot be opened or
+/// fails to load, or the registry's CURRENT entry fails to load.
+class PolicyRejectedError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 class PolicyServer {
@@ -138,7 +150,9 @@ class PolicyServer {
 
   /// Binds the listeners, loads the checkpoint (when configured), maps the
   /// shm segment (when configured), and starts the shard and shm worker
-  /// threads. Throws std::runtime_error on bind/listen/map failure.
+  /// threads. Throws PolicyRejectedError, before binding anything, when
+  /// the configured policy_path or the registry's CURRENT does not load,
+  /// and std::runtime_error on bind/listen/map failure.
   void start();
 
   /// Stops accepting, wakes every shard, joins everything. Idempotent.

@@ -264,18 +264,17 @@ void ShmClient::send_raw(const void* data, std::size_t len) {
 }
 
 util::Frame ShmClient::read_frame() {
+  // As in Client::read_frame: the previous frame views rx_ until now.
+  if (rx_off_ > 4096 && rx_off_ * 2 > rx_.size()) {
+    rx_.erase(0, rx_off_);
+    rx_off_ = 0;
+  }
   ShmRing ring = segment_.response_ring(lane_);
   unsigned spins = 0;
   for (;;) {
     util::Frame frame;
     const auto status = util::decode_frame(rx_, rx_off_, frame);
-    if (status == util::FrameStatus::Ok) {
-      if (rx_off_ > 4096 && rx_off_ * 2 > rx_.size()) {
-        rx_.erase(0, rx_off_);
-        rx_off_ = 0;
-      }
-      return frame;
-    }
+    if (status == util::FrameStatus::Ok) return frame;
     if (status != util::FrameStatus::NeedMore) {
       throw ClientError(std::string("serve shm: corrupt frame: ") +
                         util::frame_status_name(status));

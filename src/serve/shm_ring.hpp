@@ -183,6 +183,8 @@ class ShmClient {
   std::size_t lane() const { return lane_; }
 
  private:
+  /// Next frame from the response ring; its payload views rx_ and stays
+  /// valid until the next call.
   util::Frame read_frame();
   void send_all(const char* data, std::size_t len);
 

@@ -6,23 +6,23 @@ namespace pmrl::serve {
 
 namespace {
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
+using util::framing_detail::get_u16;
+using util::framing_detail::get_u32;
+using util::framing_detail::get_u64;
+using util::framing_detail::store_u16;
+using util::framing_detail::store_u32;
+using util::framing_detail::store_u64;
 
 bool check(const util::Frame& frame, MsgType type, std::size_t min_payload) {
   return frame.type == static_cast<std::uint8_t>(type) &&
          frame.payload.size() >= min_payload;
+}
+
+/// Frames a fixed-layout payload built on the caller's stack.
+template <std::size_t N>
+void append_fixed(std::string& out, MsgType type, const char (&payload)[N]) {
+  util::append_frame(out, static_cast<std::uint8_t>(type), 0,
+                     std::string_view(payload, N));
 }
 
 // Doubles travel as their IEEE-754 bit patterns so a report round-trips
@@ -57,38 +57,32 @@ const char* msg_type_name(MsgType type) {
 }
 
 void append_query(std::string& out, const QueryMsg& msg) {
-  std::string payload;
-  payload.reserve(20);
-  put_u64(payload, msg.request_id);
-  util::framing_detail::put_u32(payload, msg.agent);
-  put_u64(payload, msg.state);
-  util::append_frame(out, static_cast<std::uint8_t>(MsgType::Query), 0,
-                     payload);
+  char payload[20];
+  store_u64(payload, msg.request_id);
+  store_u32(payload + 8, msg.agent);
+  store_u64(payload + 12, msg.state);
+  append_fixed(out, MsgType::Query, payload);
 }
 
 void append_response(std::string& out, const ResponseMsg& msg) {
-  std::string payload;
-  payload.reserve(16);
-  put_u64(payload, msg.request_id);
-  util::framing_detail::put_u32(payload, msg.action);
-  util::framing_detail::put_u16(payload, msg.flags);
-  util::framing_detail::put_u16(payload, 0);
-  util::append_frame(out, static_cast<std::uint8_t>(MsgType::Response), 0,
-                     payload);
+  char payload[16];
+  store_u64(payload, msg.request_id);
+  store_u32(payload + 8, msg.action);
+  store_u16(payload + 12, msg.flags);
+  store_u16(payload + 14, 0);
+  append_fixed(out, MsgType::Response, payload);
 }
 
 void append_ping(std::string& out, std::uint64_t token) {
-  std::string payload;
-  put_u64(payload, token);
-  util::append_frame(out, static_cast<std::uint8_t>(MsgType::Ping), 0,
-                     payload);
+  char payload[8];
+  store_u64(payload, token);
+  append_fixed(out, MsgType::Ping, payload);
 }
 
 void append_pong(std::string& out, std::uint64_t token) {
-  std::string payload;
-  put_u64(payload, token);
-  util::append_frame(out, static_cast<std::uint8_t>(MsgType::Pong), 0,
-                     payload);
+  char payload[8];
+  store_u64(payload, token);
+  append_fixed(out, MsgType::Pong, payload);
 }
 
 void append_reload(std::string& out) {
@@ -104,40 +98,35 @@ void append_reload_ack(std::string& out, const ReloadAckMsg& msg) {
 }
 
 void append_error(std::string& out, const ErrorMsg& msg) {
-  std::string payload;
-  payload.reserve(12 + msg.message.size());
-  put_u64(payload, msg.request_id);
-  util::framing_detail::put_u32(payload, msg.code);
+  std::string payload(12, '\0');
+  store_u64(payload.data(), msg.request_id);
+  store_u32(payload.data() + 8, msg.code);
   payload.append(msg.message);
   util::append_frame(out, static_cast<std::uint8_t>(MsgType::Error), 0,
                      payload);
 }
 
 void append_report(std::string& out, const ReportMsg& msg) {
-  std::string payload;
-  payload.reserve(24);
-  put_u64(payload, msg.request_id);
-  put_u64(payload, f64_bits(msg.energy_j));
-  put_u64(payload, f64_bits(msg.qos));
-  util::append_frame(out, static_cast<std::uint8_t>(MsgType::Report), 0,
-                     payload);
+  char payload[24];
+  store_u64(payload, msg.request_id);
+  store_u64(payload + 8, f64_bits(msg.energy_j));
+  store_u64(payload + 16, f64_bits(msg.qos));
+  append_fixed(out, MsgType::Report, payload);
 }
 
 void append_report_ack(std::string& out, const ReportAckMsg& msg) {
-  std::string payload;
-  payload.reserve(10);
-  put_u64(payload, msg.request_id);
-  payload.push_back(msg.candidate_arm ? 1 : 0);
-  payload.push_back(static_cast<char>(msg.rollout_state));
-  util::append_frame(out, static_cast<std::uint8_t>(MsgType::ReportAck), 0,
-                     payload);
+  char payload[10];
+  store_u64(payload, msg.request_id);
+  payload[8] = msg.candidate_arm ? 1 : 0;
+  payload[9] = static_cast<char>(msg.rollout_state);
+  append_fixed(out, MsgType::ReportAck, payload);
 }
 
 bool parse_query(const util::Frame& frame, QueryMsg& msg) {
   if (!check(frame, MsgType::Query, 20)) return false;
   const char* p = frame.payload.data();
   msg.request_id = get_u64(p);
-  msg.agent = util::framing_detail::get_u32(p + 8);
+  msg.agent = get_u32(p + 8);
   msg.state = get_u64(p + 12);
   return true;
 }
@@ -146,8 +135,8 @@ bool parse_response(const util::Frame& frame, ResponseMsg& msg) {
   if (!check(frame, MsgType::Response, 16)) return false;
   const char* p = frame.payload.data();
   msg.request_id = get_u64(p);
-  msg.action = util::framing_detail::get_u32(p + 8);
-  msg.flags = util::framing_detail::get_u16(p + 12);
+  msg.action = get_u32(p + 8);
+  msg.flags = get_u16(p + 12);
   return true;
 }
 
@@ -166,7 +155,7 @@ bool parse_pong(const util::Frame& frame, std::uint64_t& token) {
 bool parse_reload_ack(const util::Frame& frame, ReloadAckMsg& msg) {
   if (!check(frame, MsgType::ReloadAck, 1)) return false;
   msg.ok = frame.payload[0] != 0;
-  msg.error = frame.payload.substr(1);
+  msg.error.assign(frame.payload.substr(1));
   return true;
 }
 
@@ -192,8 +181,8 @@ bool parse_error(const util::Frame& frame, ErrorMsg& msg) {
   if (!check(frame, MsgType::Error, 12)) return false;
   const char* p = frame.payload.data();
   msg.request_id = get_u64(p);
-  msg.code = util::framing_detail::get_u32(p + 8);
-  msg.message = frame.payload.substr(12);
+  msg.code = get_u32(p + 8);
+  msg.message.assign(frame.payload.substr(12));
   return true;
 }
 

@@ -23,10 +23,18 @@
 // The CRC covers everything after the magic (version, type, flags, length,
 // payload), so a flipped bit anywhere but the magic itself is detected;
 // a corrupted magic fails the magic check first.
+//
+// The codec allocates nothing per frame: append_frame grows `out` once and
+// writes header, payload and CRC in place, and decode_frame copies nothing.
+// A decoded Frame's payload is a view into the buffer it was decoded from,
+// valid until that buffer next changes (an append, an erase, or the
+// buffer's destruction). Handle each frame before touching its buffer
+// again, or copy what must outlive it.
 
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -101,24 +109,27 @@ inline const char* frame_status_name(FrameStatus status) {
   return "unknown";
 }
 
-/// One decoded frame.
+/// One decoded frame. `payload` views the buffer passed to decode_frame
+/// and is valid only until that buffer next changes.
 struct Frame {
   std::uint8_t version = kFrameVersion;
   std::uint8_t type = 0;
   std::uint16_t flags = 0;
-  std::string payload;
+  std::string_view payload;
 };
 
+/// Little-endian loads and in-place stores of the frame and message fields.
 namespace framing_detail {
-inline void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
+inline void store_u16(char* p, std::uint16_t v) {
+  p[0] = static_cast<char>(v & 0xFF);
+  p[1] = static_cast<char>(v >> 8);
 }
-inline void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+inline void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+inline void store_u64(char* p, std::uint64_t v) {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 inline std::uint16_t get_u16(const char* p) {
   const auto* b = reinterpret_cast<const unsigned char*>(p);
@@ -131,30 +142,40 @@ inline std::uint32_t get_u32(const char* p) {
          (static_cast<std::uint32_t>(b[2]) << 16) |
          (static_cast<std::uint32_t>(b[3]) << 24);
 }
+inline std::uint64_t get_u64(const char* p) {
+  return static_cast<std::uint64_t>(get_u32(p)) |
+         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
+}
 }  // namespace framing_detail
 
-/// Appends one encoded frame to `out`. The payload must not exceed
-/// kMaxFramePayload (the wire layer's messages are all tiny; a decoder
-/// rejects anything larger before allocating).
+/// Appends one encoded frame to `out`, growing it once. The payload must
+/// not exceed kMaxFramePayload (the wire layer's messages are all tiny; a
+/// decoder rejects anything larger before allocating) and must not view
+/// `out` itself.
 inline void append_frame(std::string& out, std::uint8_t type,
                          std::uint16_t flags, std::string_view payload) {
   using namespace framing_detail;
-  out.append(kFrameMagic.data(), kFrameMagic.size());
-  const std::size_t covered_begin = out.size();
-  out.push_back(static_cast<char>(kFrameVersion));
-  out.push_back(static_cast<char>(type));
-  put_u16(out, flags);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t crc = crc32_update(kCrc32Init, out.data() + covered_begin, 8);
-  crc = crc32_update(crc, payload.data(), payload.size());
-  put_u32(out, crc32_final(crc));
-  out.append(payload);
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeaderSize + payload.size());
+  char* p = out.data() + at;
+  std::memcpy(p, kFrameMagic.data(), kFrameMagic.size());
+  p[4] = static_cast<char>(kFrameVersion);
+  p[5] = static_cast<char>(type);
+  store_u16(p + 6, flags);
+  store_u32(p + 8, static_cast<std::uint32_t>(payload.size()));
+  if (!payload.empty()) {
+    std::memcpy(p + kFrameHeaderSize, payload.data(), payload.size());
+  }
+  std::uint32_t crc = crc32_update(kCrc32Init, p + 4, 8);
+  crc = crc32_update(crc, p + kFrameHeaderSize, payload.size());
+  store_u32(p + 12, crc32_final(crc));
 }
 
 /// Attempts to decode one frame from `buffer` starting at `offset`. On Ok
-/// the frame is filled and `offset` advances past it; on NeedMore nothing
-/// changes (append more bytes and retry); on any error `offset` is left at
-/// the bad frame (callers typically drop the connection).
+/// the frame is filled, its payload viewing `buffer`, and `offset` advances
+/// past it; on NeedMore nothing changes (append more bytes and retry); on
+/// any error `offset` is left at the bad frame (callers typically drop the
+/// connection).
 inline FrameStatus decode_frame(std::string_view buffer, std::size_t& offset,
                                 Frame& frame) {
   using namespace framing_detail;
@@ -177,7 +198,7 @@ inline FrameStatus decode_frame(std::string_view buffer, std::size_t& offset,
   frame.version = version;
   frame.type = static_cast<std::uint8_t>(p[5]);
   frame.flags = get_u16(p + 6);
-  frame.payload.assign(p + kFrameHeaderSize, payload_len);
+  frame.payload = std::string_view(p + kFrameHeaderSize, payload_len);
   offset += kFrameHeaderSize + payload_len;
   return FrameStatus::Ok;
 }

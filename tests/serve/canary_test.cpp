@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -231,6 +232,20 @@ TEST(CanaryRollout, BetterCandidatePromotes) {
   EXPECT_EQ(registry.meta(2)->status, policy::PolicyStatus::Promoted);
   EXPECT_EQ(*registry.current(), 2u);
   server.stop();
+}
+
+// The incumbent named by CURRENT must load; a damaged one stops start()
+// instead of serving a fresh-init policy to every connection.
+TEST(CanaryRollout, StartRejectsUnloadableCurrent) {
+  const auto dir = test_registry_dir();
+  seed_registry(dir);
+  {
+    std::ofstream out(policy::PolicyRegistry(dir).policy_path(1));
+    out << "truncated";
+  }
+  serve::PolicyServer server(canary_config(dir));
+  EXPECT_THROW(server.start(), serve::PolicyRejectedError);
+  EXPECT_FALSE(server.running());
 }
 
 TEST(CanaryRollout, ZeroPctStagesNothing) {

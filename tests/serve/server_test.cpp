@@ -146,6 +146,20 @@ TEST(PolicyServer, TruncatedFrameCompletesAcrossWrites) {
   server.stop();
 }
 
+// 300 answers of 32 bytes pile up past the client's 4 KiB receive
+// compaction threshold, so the buffer compacts while unread frames remain
+// in it; every answer must still arrive whole and in its own frame.
+TEST(PolicyServer, PipelinedAnswersSurviveReceiveCompaction) {
+  auto config = base_config();
+  config.queue_capacity = 1024;  // all 300 in flight, none shed
+  serve::PolicyServer server(config);
+  test::seed_varied_actions(server.governor());
+  server.start();
+  auto client = serve::Client::connect_uds(config.uds_path);
+  test::expect_pipelined_greedy(client, server.governor(), 300);
+  server.stop();
+}
+
 TEST(PolicyServer, ReloadSwapsPolicy) {
   auto config = base_config();
   config.policy_path = test_socket_path() + ".pmrl";
@@ -162,6 +176,28 @@ TEST(PolicyServer, ReloadSwapsPolicy) {
   EXPECT_EQ(client.query(9).action, 1u);  // the reloaded policy answers
   test::expect_serves_greedy(client, server.governor(), false);
   server.stop();
+  ::unlink(config.policy_path.c_str());
+}
+
+// A configured checkpoint that does not load stops start(): the server
+// binds nothing and serves no fresh-init policy in its place.
+TEST(PolicyServer, StartRejectsMissingOrCorruptCheckpoint) {
+  auto config = base_config();
+  config.policy_path = test_socket_path() + ".pmrl";
+  ::unlink(config.policy_path.c_str());
+  {
+    serve::PolicyServer server(config);
+    EXPECT_THROW(server.start(), serve::PolicyRejectedError);
+    EXPECT_FALSE(server.running());
+  }
+  {
+    std::ofstream out(config.policy_path);
+    out << "pmrl-policy,2,2,240,3\nnot,numbers,at,all\n";
+  }
+  serve::PolicyServer server(config);
+  EXPECT_THROW(server.start(), serve::PolicyRejectedError);
+  EXPECT_FALSE(server.running());
+  EXPECT_NE(::access(config.uds_path.c_str(), F_OK), 0);
   ::unlink(config.policy_path.c_str());
 }
 

@@ -157,6 +157,20 @@ TEST(ShmServe, QueryPingReloadAndCacheWork) {
   ::unlink(config.policy_path.c_str());
 }
 
+// The shm client's receive buffer compacts like the socket client's; see
+// PolicyServer.PipelinedAnswersSurviveReceiveCompaction.
+TEST(ShmServe, PipelinedAnswersSurviveReceiveCompaction) {
+  auto config = shm_config();
+  serve::PolicyServer server(config);
+  test::seed_varied_actions(server.governor());
+  server.start();
+  {
+    serve::ShmClient client(config.shm_path);
+    test::expect_pipelined_greedy(client, server.governor(), 300);
+  }
+  server.stop();
+}
+
 TEST(ShmServe, LanesExhaustThenRecycle) {
   auto config = shm_config();
   config.shm_lanes = 2;

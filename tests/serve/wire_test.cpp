@@ -1,6 +1,6 @@
-// serve/wire.hpp: message encode/parse round trips and fuzz-ish corruption
-// over the serve protocol's frames (truncation, bit flips, bad version,
-// short payloads).
+// serve/wire.hpp: message encode/parse round trips, golden frame bytes,
+// and fuzz-ish corruption over the serve protocol's frames (truncation,
+// bit flips, bad version, short payloads).
 
 #include "serve/wire.hpp"
 
@@ -19,6 +19,66 @@ util::Frame decode_one(const std::string& bytes) {
   EXPECT_EQ(util::decode_frame(bytes, offset, frame), util::FrameStatus::Ok);
   EXPECT_EQ(offset, bytes.size());
   return frame;
+}
+
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+// Every encoder's frame, byte for byte. A round trip cannot see a layout
+// drift that the encoder and decoder share; these bytes are what peers
+// built from earlier revisions send and expect.
+TEST(ServeWire, EncodersEmitGoldenBytes) {
+  const auto frame = [](auto&& encode) {
+    std::string out;
+    encode(out);
+    return hex(out);
+  };
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_query(o, {0x1122334455667788ull, 3, 1023});
+            }),
+            "504d5246010100001400000090d4c368"
+            "887766554433221103000000ff03000000000000");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_response(o, {42, 7, 5});
+            }),
+            "504d52460102000010000000b1ef23f1"
+            "2a000000000000000700000005000000");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_ping(o, 0x0123456789abcdefull);
+            }),
+            "504d524601030000080000006dfbbb74efcdab8967452301");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_pong(o, 0xfedcba9876543210ull);
+            }),
+            "504d5246010400000800000002f4dcab1032547698badcfe");
+  EXPECT_EQ(frame([](std::string& o) { serve::append_reload(o); }),
+            "504d5246010500000000000050f0b0fb");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_reload_ack(o, {false, "bad crc"});
+            }),
+            "504d52460106000008000000a7d907f60062616420637263");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_error(o, {9, 3, "state index out of range"});
+            }),
+            "504d52460107000024000000c9cf43d6090000000000000003000000"
+            "737461746520696e646578206f7574206f662072616e6765");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_report(o, {0x0102030405060708ull, 1.5, -0.25});
+            }),
+            "504d524601080000180000005e334595"
+            "0807060504030201000000000000f83f000000000000d0bf");
+  EXPECT_EQ(frame([](std::string& o) {
+              serve::append_report_ack(o, {77, true, 2});
+            }),
+            "504d5246010900000a00000097fb99a74d000000000000000102");
 }
 
 TEST(ServeWire, QueryRoundTrips) {
