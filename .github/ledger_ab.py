@@ -18,7 +18,9 @@ the median) is within the bound, and "unresolved" if it is wider: the host
 then moved BASE by as much as the bound, and the pair cannot tell. Only
 FAIL, or a HEAD run that exits non-zero or prints no result, fails the gate.
 Runs whose result reads "correct": false are listed for either side; their
-failures reach the comparison through success_frac.
+failures reach the comparison through success_frac. Every serve run's tally
+line (its requests by outcome: ok, error, safe-default, wrong, unanswered)
+is printed under its metrics on both sides, correct or not.
 """
 
 import json
@@ -83,6 +85,9 @@ def main(argv):
                 print(f"{tag}: " + ", ".join(
                     f"{name} {m['value']:.4g}"
                     for name, m in result["metrics"].items()), flush=True)
+                for note in notes:
+                    if " requests: " in note:  # the serve tally line
+                        print(f"  {note}", flush=True)
 
     failed = any(side == "head" for side, *_ in broken)
     print(f"\n{'workload':<13} {'metric':<17} {'base':>10} {'head':>10} "

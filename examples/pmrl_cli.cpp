@@ -97,6 +97,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -122,6 +123,7 @@
 #include "serve/server.hpp"
 #include "serve/shm_ring.hpp"
 #include "train/distributed_trainer.hpp"
+#include "util/atomic_write.hpp"
 #include "util/table.hpp"
 #include "workload/fuzz.hpp"
 #include "workload/replay.hpp"
@@ -420,6 +422,14 @@ int cmd_train(const Args& args) {
   config.actors = args.actors;
   config.merge_seed = args.merge_seed;
   train::DistributedTrainer trainer(farm, policy_config, clusters, config);
+  // Read the registry's CURRENT pointer (the new entry's parent) before
+  // training: a corrupt pointer stops the command instead of recording v0.
+  std::optional<policy::PolicyRegistry> registry;
+  std::uint64_t parent_version = 0;
+  if (!args.registry.empty()) {
+    registry.emplace(args.registry);
+    parent_version = registry->current().value_or(0);
+  }
 
   std::printf(
       "training %zu episodes across %zu actor(s) "
@@ -436,27 +446,23 @@ int cmd_train(const Args& args) {
                 100.0 * last.violation_rate);
   }
 
-  if (!args.registry.empty()) {
-    policy::PolicyRegistry registry(args.registry);
+  if (registry) {
     policy::PolicyMeta meta;
-    meta.parent_version = registry.current().value_or(0);
+    meta.parent_version = parent_version;
     meta.train_seed = args.seed;
     meta.merge_seed = args.merge_seed;
     meta.episodes = args.episodes;
     meta.actors = result.actors;
-    const std::uint64_t version = registry.add(merged, meta);
+    const std::uint64_t version = registry->add(merged, meta);
     std::printf("registered candidate v%llu in %s (parent v%llu)\n",
                 static_cast<unsigned long long>(version),
                 args.registry.c_str(),
                 static_cast<unsigned long long>(meta.parent_version));
   }
 
-  std::ofstream out(args.out);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
-    return 1;
-  }
-  rl::save_policy(merged, out);
+  std::ostringstream checkpoint;
+  rl::save_policy(merged, checkpoint);
+  util::atomic_write(args.out, checkpoint.str());
   std::printf("checkpoint written to %s\n", args.out.c_str());
   return 0;
 }
@@ -481,7 +487,15 @@ int cmd_policy(const Args& args) {
   };
 
   if (verb == "list") {
-    const auto current = registry.current();
+    // A corrupt CURRENT still lists the entries (to pick one to promote),
+    // then fails the command.
+    std::optional<std::uint64_t> current;
+    std::string corrupt;
+    try {
+      current = registry.current();
+    } catch (const policy::CorruptCurrentError& ex) {
+      corrupt = ex.what();
+    }
     TextTable table({"version", "status", "parent", "episodes", "actors",
                      "train seed", ""});
     for (const auto& meta : registry.list()) {
@@ -495,6 +509,10 @@ int cmd_policy(const Args& args) {
                      current && *current == meta.version ? "<- CURRENT" : ""});
     }
     table.print();
+    if (!corrupt.empty()) {
+      std::fprintf(stderr, "error: %s\n", corrupt.c_str());
+      return 1;
+    }
     return 0;
   }
   if (verb == "show") {
@@ -960,11 +978,6 @@ int cmd_fuzz(const Args& args) {
     const std::string path =
         *args.corpus_dir + "/seed" + std::to_string(failure->spec.seed) +
         "-" + invariant + ".scenario";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
     std::string command = "pmrl_cli fuzz --seed " +
                           std::to_string(failure->spec.seed) + " --runs 1";
     if (args.governor != "rl") command += " --governor " + args.governor;
@@ -984,6 +997,7 @@ int cmd_fuzz(const Args& args) {
                     args.max_peak_temp_c);
       command += bound;
     }
+    std::ostringstream out;
     shrunk.outcome.spec.save(
         out, {"minimized from: " + command,
               "violated invariant: " + invariant + " (" +
@@ -991,6 +1005,7 @@ int cmd_fuzz(const Args& args) {
               "shrink: " + std::to_string(shrunk.accepted) + "/" +
                   std::to_string(shrunk.attempts) +
                   " reductions accepted"});
+    util::atomic_write(path, out.str());
     std::printf("  wrote %s\n", path.c_str());
   }
   if (args.metrics_path && !write_metrics(*args.metrics_path, metrics)) {

@@ -1,19 +1,15 @@
 #include "policy/registry.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
 
 #include "rl/policy_io.hpp"
+#include "util/atomic_write.hpp"
 #include "util/crc32.hpp"
 #include "util/framing.hpp"
 #include "util/log.hpp"
@@ -39,56 +35,6 @@ bool parse_u64(std::string_view text, std::uint64_t& value) {
   const auto* end = text.data() + text.size();
   const auto result = std::from_chars(begin, end, value, 10);
   return result.ec == std::errc() && result.ptr == end;
-}
-
-/// Closes a POSIX file descriptor on scope exit.
-struct ScopedFd {
-  explicit ScopedFd(int fd_in) : fd(fd_in) {}
-  ~ScopedFd() {
-    if (fd >= 0) ::close(fd);
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-  const int fd;
-};
-
-[[noreturn]] void fail_io(const std::string& what) {
-  throw std::runtime_error("registry: " + what + ": " + std::strerror(errno));
-}
-
-/// Writes `content` to `path` atomically and durably: write a tmp file,
-/// fsync it, rename it over `path`, then fsync the directory so the rename
-/// itself survives a crash. Throws std::runtime_error on any I/O failure.
-void atomic_write(const std::filesystem::path& path,
-                  const std::string& content) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    const ScopedFd out(
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-    if (out.fd < 0) fail_io("cannot open " + tmp.string());
-    std::size_t off = 0;
-    while (off < content.size()) {
-      const ssize_t n =
-          ::write(out.fd, content.data() + off, content.size() - off);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) fail_io("short write to " + tmp.string());
-      off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(out.fd) != 0) fail_io("fsync " + tmp.string());
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("registry: rename " + tmp.string() + " -> " +
-                             path.string() + ": " + ec.message());
-  }
-  const std::filesystem::path dir =
-      path.has_parent_path() ? path.parent_path() : ".";
-  const ScopedFd dir_fd(
-      ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
-  if (dir_fd.fd < 0 || ::fsync(dir_fd.fd) != 0) {
-    fail_io("fsync directory " + dir.string());
-  }
 }
 
 /// Reads a CRC-footered text file. Returns the payload (everything above
@@ -177,7 +123,7 @@ void PolicyRegistry::write_meta(const PolicyMeta& meta) const {
   out << "episodes," << meta.episodes << '\n';
   out << "actors," << meta.actors << '\n';
   if (!meta.note.empty()) out << "note," << meta.note << '\n';
-  atomic_write(meta_path(meta.version), with_footer(out.str()));
+  util::atomic_write(meta_path(meta.version), with_footer(out.str()));
 }
 
 std::uint64_t PolicyRegistry::add(const rl::RlGovernor& governor,
@@ -189,7 +135,7 @@ std::uint64_t PolicyRegistry::add(const rl::RlGovernor& governor,
   meta.version = next;
   std::ostringstream checkpoint;
   rl::save_policy(governor, checkpoint);
-  atomic_write(policy_path(next), checkpoint.str());
+  util::atomic_write(policy_path(next), checkpoint.str());
   write_meta(meta);
   return next;
 }
@@ -288,19 +234,25 @@ void PolicyRegistry::set_status(std::uint64_t version, PolicyStatus status) {
 }
 
 std::optional<std::uint64_t> PolicyRegistry::current() const {
-  const auto payload = read_checked(dir_ / kCurrentName);
-  if (!payload) return std::nullopt;
-  std::string text = *payload;
+  const std::filesystem::path path = dir_ / kCurrentName;
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) return std::nullopt;
+  const auto payload = read_checked(path);
+  std::string text = payload.value_or("");
   if (!text.empty() && text.back() == '\n') text.pop_back();
   std::uint64_t version = 0;
-  if (!parse_u64(text, version)) return std::nullopt;
+  if (!payload || !parse_u64(text, version)) {
+    throw CorruptCurrentError("registry: CURRENT pointer " + path.string() +
+                              " is corrupt (unreadable, bad CRC or no "
+                              "version number)");
+  }
   return version;
 }
 
 void PolicyRegistry::promote(std::uint64_t version) {
   set_status(version, PolicyStatus::Promoted);
   const std::string payload = std::to_string(version) + "\n";
-  atomic_write(dir_ / kCurrentName, with_footer(payload));
+  util::atomic_write(dir_ / kCurrentName, with_footer(payload));
 }
 
 void PolicyRegistry::rollback(std::uint64_t version) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +64,13 @@ struct PolicyMeta {
   bool operator==(const PolicyMeta&) const = default;
 };
 
+/// The CURRENT pointer exists but does not name a version: it cannot be
+/// read, fails its CRC, or holds no number.
+class CorruptCurrentError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class PolicyRegistry {
  public:
   /// Opens (creating if needed) the registry directory. Throws
@@ -92,7 +100,8 @@ class PolicyRegistry {
   void set_status(std::uint64_t version, PolicyStatus status);
 
   /// The promoted version (CURRENT); nullopt when nothing was promoted
-  /// yet or the pointer file is corrupt.
+  /// yet (no pointer file). Throws CorruptCurrentError when the pointer
+  /// file cannot be read or fails its CRC or its number.
   std::optional<std::uint64_t> current() const;
 
   /// Marks `version` promoted and points CURRENT at it. Previously

@@ -53,20 +53,6 @@ void ring_backoff(unsigned& spins) {
   std::this_thread::sleep_for(std::chrono::microseconds(50));
 }
 
-/// Greedy action of every (agent, state), indexed
-/// agent * states_per_agent + state: one batched call per agent.
-std::vector<std::uint32_t> action_table(const rl::RlGovernor& governor) {
-  const std::size_t states = governor.agent(0).state_count();
-  std::vector<std::uint64_t> all(states);
-  std::iota(all.begin(), all.end(), std::uint64_t{0});
-  std::vector<std::uint32_t> table(governor.agent_count() * states);
-  for (std::size_t a = 0; a < governor.agent_count(); ++a) {
-    governor.agent(a).greedy_actions(all.data(), states,
-                                     table.data() + a * states);
-  }
-  return table;
-}
-
 }  // namespace
 
 /// Every answer the served policies can give. Immutable once published:
@@ -76,6 +62,8 @@ struct PolicyServer::ActionSnapshot {
   std::vector<std::uint32_t> incumbent;
   /// Empty unless a canary candidate is staged.
   std::vector<std::uint32_t> candidate;
+  /// Registry version of `candidate`; 0 while none is staged.
+  std::uint64_t candidate_version = 0;
 };
 
 /// One client connection, owned by exactly one shard thread (reads,
@@ -95,9 +83,12 @@ struct PolicyServer::Connection {
   const int fd;
   bool open = true;
   /// This connection belongs to the canary cohort (deterministic hash of
-  /// its accept-order key); decisions/reports go to the candidate arm
-  /// while a candidate is active.
+  /// its accept-order key); decisions go to the candidate arm while a
+  /// candidate is staged.
   bool canary = false;
+  /// Version of the candidate that decided this connection's last answer;
+  /// 0 when the incumbent did or it was a safe default (report credit).
+  std::uint64_t decided_by = 0;
   std::string rx;
   std::size_t rx_off = 0;
 };
@@ -119,6 +110,8 @@ struct PolicyServer::Pending {
 /// nothing in here is shared.
 struct PolicyServer::Worker {
   std::deque<Pending> pending;
+  /// Connection::decided_by of each shm lane (shm workers only).
+  std::vector<std::uint64_t> lane_decided_by;
   // Batch scratch (reused allocation across batches).
   std::vector<Pending> batch;
   std::string tx;
@@ -152,7 +145,8 @@ struct PolicyServer::ShmWorker {
   std::thread thread;
 };
 
-PolicyServer::PolicyServer(ServerConfig config)
+PolicyServer::PolicyServer(ServerConfig config,
+                           const rl::RlGovernor* incumbent)
     : config_(std::move(config)), rollout_(config_.rollout) {
   if (config_.workers == 0) {
     throw std::invalid_argument("serve: workers must be >= 1");
@@ -170,11 +164,72 @@ PolicyServer::PolicyServer(ServerConfig config)
   if (!config_.shm_path.empty() && config_.shm_workers == 0) {
     throw std::invalid_argument("serve: shm_workers must be >= 1");
   }
-  governor_ = std::make_unique<rl::RlGovernor>(config_.governor,
-                                               config_.cluster_count);
+  const auto fresh = make_governor();
+  agent_count_ = fresh->agent_count();
+  states_per_agent_ = fresh->agent(0).state_count();
+  // The safe default is the all-hold action: move/action 0 by the action
+  // space's construction (and the value Q-ties resolve to), i.e. "keep the
+  // current OPP" — the same stance the watchdog's conservative fallback
+  // opens with.
+  if (config_.governor.structure == rl::PolicyStructure::Joint) {
+    safe_action_ =
+        static_cast<std::uint32_t>(fresh->actions().hold_action());
+  } else {
+    for (std::size_t m = 0; m < fresh->actions().moves_per_cluster(); ++m) {
+      if (fresh->actions().move_value(m) == 0) {
+        safe_action_ = static_cast<std::uint32_t>(m);
+        break;
+      }
+    }
+  }
+  snapshot_ = std::make_shared<const ActionSnapshot>();
+  publish_incumbent(incumbent ? *incumbent : *fresh);
 }
 
 PolicyServer::~PolicyServer() { stop(); }
+
+std::unique_ptr<rl::RlGovernor> PolicyServer::make_governor() const {
+  return std::make_unique<rl::RlGovernor>(config_.governor,
+                                          config_.cluster_count);
+}
+
+/// Indexed agent * states_per_agent + state: one batched call per agent.
+std::vector<std::uint32_t> PolicyServer::action_table(
+    const rl::RlGovernor& governor) const {
+  if (governor.agent_count() != agent_count_ ||
+      governor.agent(0).state_count() != states_per_agent_) {
+    throw std::invalid_argument("serve: policy shape mismatch");
+  }
+  std::vector<std::uint64_t> all(states_per_agent_);
+  std::iota(all.begin(), all.end(), std::uint64_t{0});
+  std::vector<std::uint32_t> table(agent_count_ * states_per_agent_);
+  for (std::size_t a = 0; a < agent_count_; ++a) {
+    governor.agent(a).greedy_actions(all.data(), states_per_agent_,
+                                     table.data() + a * states_per_agent_);
+  }
+  return table;
+}
+
+void PolicyServer::publish_incumbent(const rl::RlGovernor& governor) {
+  auto table = action_table(governor);
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  publish_locked({std::move(table), snapshot_->candidate,
+                  snapshot_->candidate_version});
+}
+
+void PolicyServer::publish_locked(ActionSnapshot next) {
+  snapshot_ = std::make_shared<const ActionSnapshot>(std::move(next));
+}
+
+std::shared_ptr<const PolicyServer::ActionSnapshot> PolicyServer::snapshot()
+    const {
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  return snapshot_;
+}
+
+std::uint64_t PolicyServer::candidate_version() const {
+  return snapshot()->candidate_version;
+}
 
 void PolicyServer::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
@@ -219,57 +274,33 @@ void PolicyServer::set_metrics(obs::MetricsRegistry* metrics) {
 
 void PolicyServer::start() {
   if (running_) return;
+  if (!config_.registry_dir.empty()) {
+    registry_ = std::make_unique<policy::PolicyRegistry>(config_.registry_dir);
+  }
   // A configured policy that does not load stops start(): serving a
   // fresh-init table in its place would answer every query wrongly.
   if (!config_.policy_path.empty()) {
     std::ifstream in(config_.policy_path);
     std::string error = "cannot open";
-    if (!in || !rl::try_load_policy(*governor_, in, &error)) {
+    const auto governor = make_governor();
+    if (!in || !rl::try_load_policy(*governor, in, &error)) {
       throw PolicyRejectedError("serve: checkpoint '" + config_.policy_path +
                                 "' rejected: " + error);
     }
-  }
-  if (!config_.registry_dir.empty()) {
-    registry_ = std::make_unique<policy::PolicyRegistry>(config_.registry_dir);
-    if (config_.policy_path.empty()) {
-      if (const auto cur = registry_->current()) {
-        try {
-          registry_->load(*cur, *governor_);
-        } catch (const std::exception& ex) {
-          throw PolicyRejectedError("serve: registry CURRENT v" +
-                                    std::to_string(*cur) + " rejected: " +
-                                    ex.what());
-        }
+    publish_incumbent(*governor);
+  } else if (registry_) {
+    std::string entry = "CURRENT";
+    try {
+      if (const auto current = registry_->current()) {
+        entry += " v" + std::to_string(*current);
+        const auto governor = make_governor();
+        registry_->load(*current, *governor);
+        publish_incumbent(*governor);
       }
+    } catch (const std::exception& ex) {
+      throw PolicyRejectedError("serve: registry " + entry + " rejected: " +
+                                ex.what());
     }
-  }
-  governor_->set_frozen(true);
-  agent_count_ = governor_->agent_count();
-  states_per_agent_ = governor_->agent(0).state_count();
-  // The safe default is the all-hold action: move/action 0 by the action
-  // space's construction (and the value Q-ties resolve to), i.e. "keep the
-  // current OPP" — the same stance the watchdog's conservative fallback
-  // opens with.
-  if (config_.governor.structure == rl::PolicyStructure::Joint) {
-    safe_action_ =
-        static_cast<std::uint32_t>(governor_->actions().hold_action());
-  } else {
-    safe_action_ = 0;
-    for (std::size_t m = 0; m < governor_->actions().moves_per_cluster();
-         ++m) {
-      if (governor_->actions().move_value(m) == 0) {
-        safe_action_ = static_cast<std::uint32_t>(m);
-        break;
-      }
-    }
-  }
-  {
-    auto incumbent = action_table(*governor_);
-    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    // Keeps a candidate staged before start().
-    publish_locked(std::move(incumbent), snapshot_
-                                             ? snapshot_->candidate
-                                             : std::vector<std::uint32_t>{});
   }
 
   if (registry_ && config_.rollout.canary_pct > 0.0) {
@@ -400,25 +431,16 @@ bool PolicyServer::request_reload(std::string* error) {
       if (error) *error = "cannot open '" + config_.policy_path + "'";
       return false;
     }
-    // Stage into a fresh governor; the serving one is untouched until the
-    // whole checkpoint has validated (same transactional stance as
+    // Load into a fresh governor; the serving table is untouched until
+    // the whole checkpoint has validated (same transactional stance as
     // load_policy itself).
-    auto staged = std::make_unique<rl::RlGovernor>(config_.governor,
-                                                   config_.cluster_count);
+    const auto staged = make_governor();
     std::string load_error;
     if (!rl::try_load_policy(*staged, in, &load_error)) {
       if (error) *error = load_error;
       return false;
     }
-    staged->set_frozen(true);
-    auto incumbent = action_table(*staged);
-    {
-      const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      governor_ = std::move(staged);
-      publish_locked(std::move(incumbent),
-                     snapshot_ ? snapshot_->candidate
-                               : std::vector<std::uint32_t>{});
-    }
+    publish_incumbent(*staged);
   }
   // SIGHUP-staged canary: with a registry configured, every reload also
   // re-stages the candidate (a new registry entry becomes the canary
@@ -442,21 +464,14 @@ void PolicyServer::stage_candidate(std::unique_ptr<rl::RlGovernor> candidate,
   if (!candidate) {
     throw std::invalid_argument("serve: null candidate");
   }
-  if (candidate->agent_count() != governor_->agent_count() ||
-      candidate->agent(0).state_count() !=
-          governor_->agent(0).state_count()) {
-    throw std::invalid_argument("serve: candidate shape mismatch");
+  // Version 0 is the report-credit tag of the incumbent's answers.
+  if (version == 0) {
+    throw std::invalid_argument("serve: candidate version must be >= 1");
   }
-  candidate->set_frozen(true);
   auto table = action_table(*candidate);
   {
     const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    candidate_ = std::move(candidate);
-    publish_locked(snapshot_ ? snapshot_->incumbent
-                             : std::vector<std::uint32_t>{},
-                   std::move(table));
-    candidate_version_.store(version, std::memory_order_release);
-    candidate_active_.store(true, std::memory_order_release);
+    publish_locked({snapshot_->incumbent, std::move(table), version});
   }
   {
     const std::lock_guard<std::mutex> lock(rollout_mutex_);
@@ -482,8 +497,7 @@ bool PolicyServer::stage_candidate_from_registry(std::string* error) {
     }
     version = *latest;
   }
-  auto staged = std::make_unique<rl::RlGovernor>(config_.governor,
-                                                 config_.cluster_count);
+  auto staged = make_governor();
   try {
     registry_->load(version, *staged);
   } catch (const std::exception& ex) {
@@ -499,55 +513,33 @@ bool PolicyServer::stage_candidate_from_registry(std::string* error) {
   return true;
 }
 
-void PolicyServer::finish_rollout(policy::RolloutDecision decision) {
-  const std::uint64_t version =
-      candidate_version_.load(std::memory_order_acquire);
-  if (decision == policy::RolloutDecision::Rollback) {
-    // Rollback never touches a connection: it deactivates the candidate,
-    // so canary-cohort decisions fall back to the incumbent on the very
-    // next batch.
-    {
-      const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      candidate_active_.store(false, std::memory_order_release);
-      candidate_.reset();
-      publish_locked(snapshot_->incumbent, {});
-    }
-    rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    if (rollback_counter_) rollback_counter_->inc();
-    if (registry_) {
-      try {
-        registry_->rollback(version);
-      } catch (const std::exception& ex) {
-        PMRL_WARN("serve") << "registry rollback failed: " << ex.what();
-      }
-    }
-    emit_rollout_trace("rollback", version);
-  } else if (decision == policy::RolloutDecision::Promote) {
-    {
-      const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      if (candidate_) {
-        governor_ = std::move(candidate_);
-        publish_locked(snapshot_->candidate, {});
-      }
-      candidate_active_.store(false, std::memory_order_release);
-    }
-    promotions_.fetch_add(1, std::memory_order_relaxed);
-    if (promote_counter_) promote_counter_->inc();
-    if (registry_) {
-      try {
-        registry_->promote(version);
-      } catch (const std::exception& ex) {
-        PMRL_WARN("serve") << "registry promote failed: " << ex.what();
-      }
-    }
-    emit_rollout_trace("promote", version);
+void PolicyServer::finish_rollout(policy::RolloutDecision decision,
+                                  std::uint64_t version) {
+  const bool promote = decision == policy::RolloutDecision::Promote;
+  {
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    // The verdict measured `version`'s windows. A candidate staged since
+    // then keeps serving with its fresh windows, and the registry records
+    // nothing about it.
+    if (snapshot_->candidate_version != version) return;
+    // Neither verdict touches a connection: the canary cohort is served by
+    // the new incumbent from the very next batch.
+    publish_locked(
+        {promote ? snapshot_->candidate : snapshot_->incumbent, {}, 0});
   }
-}
-
-void PolicyServer::publish_locked(std::vector<std::uint32_t> incumbent,
-                                  std::vector<std::uint32_t> candidate) {
-  snapshot_ = std::make_shared<const ActionSnapshot>(
-      ActionSnapshot{std::move(incumbent), std::move(candidate)});
+  (promote ? promotions_ : rollbacks_).fetch_add(1, std::memory_order_relaxed);
+  if (obs::Counter* counter = promote ? promote_counter_ : rollback_counter_) {
+    counter->inc();
+  }
+  if (registry_) {
+    try {
+      promote ? registry_->promote(version) : registry_->rollback(version);
+    } catch (const std::exception& ex) {
+      PMRL_WARN("serve") << "registry " << (promote ? "promote" : "rollback")
+                         << " failed: " << ex.what();
+    }
+  }
+  emit_rollout_trace(promote ? "promote" : "rollback", version);
 }
 
 void PolicyServer::emit_rollout_trace(const char* what,
@@ -650,6 +642,7 @@ void PolicyServer::shm_loop(ShmWorker& shm_worker) {
   const std::size_t stride = shm_workers_.size();
   std::vector<std::string> rx(lanes);
   std::vector<std::size_t> rx_off(lanes, 0);
+  worker.lane_decided_by.assign(lanes, 0);
   unsigned idle = 0;
   while (!stopping_.load(std::memory_order_acquire)) {
     bool did_work = false;
@@ -662,6 +655,7 @@ void PolicyServer::shm_loop(ShmWorker& shm_worker) {
         shm_->response_ring(l).reset();
         rx[l].clear();
         rx_off[l] = 0;
+        worker.lane_decided_by[l] = 0;
         shm_->lane_state(l).store(kLaneFree, std::memory_order_release);
         did_work = true;
         continue;
@@ -839,7 +833,6 @@ void PolicyServer::handle_report(Worker& worker,
                                  const std::shared_ptr<Connection>& conn,
                                  std::uint32_t lane,
                                  const util::Frame& frame) {
-  (void)worker;
   std::string out;
   ReportMsg report;
   if (!parse_report(frame, report)) {
@@ -851,32 +844,44 @@ void PolicyServer::handle_report(Worker& worker,
     send_to(conn, lane, out);
     return;
   }
-  const bool route_arm =
+  const bool canary_cohort =
       conn ? conn->canary
            : policy::RolloutController::routes_to_candidate(
                  kLaneRouteBase + lane, config_.rollout.canary_pct,
                  config_.rollout.route_salt);
-  // Credit the candidate arm only while the candidate actually serves the
-  // cohort; after rollback the cohort's outcomes are the incumbent's.
-  const bool credited =
-      route_arm && candidate_active_.load(std::memory_order_acquire);
+  const std::uint64_t decided_by =
+      conn ? conn->decided_by : worker.lane_decided_by[lane];
+  bool credited = false;
+  bool counted = false;
   policy::RolloutDecision decision = policy::RolloutDecision::None;
+  std::uint64_t version = 0;
   std::uint8_t state_now = 0;
   {
     const std::lock_guard<std::mutex> lock(rollout_mutex_);
-    decision = rollout_.report(credited, report.energy_j, report.qos);
+    version = rollout_.candidate_version();
+    // The incumbent cohort's outcomes are the incumbent's. A canary-cohort
+    // report is the candidate's only when the candidate under evaluation
+    // decided the connection's last answer; one about the incumbent's, a
+    // safe default or an earlier candidate's answer counts for neither.
+    credited = canary_cohort &&
+               rollout_.state() == policy::RolloutState::Canary &&
+               decided_by == version;
+    counted = credited || !canary_cohort;
+    if (counted) {
+      decision = rollout_.report(credited, report.energy_j, report.qos);
+      if (arm_epq_gauge_[credited ? 1 : 0]) {
+        arm_epq_gauge_[credited ? 1 : 0]->set(
+            rollout_.arm_energy_per_qos(credited));
+      }
+    }
     state_now = static_cast<std::uint8_t>(rollout_.state());
     rollout_state_.store(state_now, std::memory_order_release);
-    if (arm_epq_gauge_[credited ? 1 : 0]) {
-      arm_epq_gauge_[credited ? 1 : 0]->set(
-          rollout_.arm_energy_per_qos(credited));
-    }
   }
-  if (report_counter_[credited ? 1 : 0]) {
+  if (counted && report_counter_[credited ? 1 : 0]) {
     report_counter_[credited ? 1 : 0]->inc();
   }
   if (decision != policy::RolloutDecision::None) {
-    finish_rollout(decision);
+    finish_rollout(decision, version);
     state_now = rollout_state_.load(std::memory_order_acquire);
   }
   append_report_ack(out,
@@ -905,6 +910,7 @@ void PolicyServer::enqueue_or_shed(Worker& worker,
   // Overload: degrade, don't drop. The client gets an immediate
   // safe-default decision (all-hold) instead of a queue slot.
   if (shed_counter_) shed_counter_->inc();
+  (conn ? conn->decided_by : worker.lane_decided_by[lane]) = 0;
   std::string out;
   append_response(out, ResponseMsg{query.request_id, safe_default_action(),
                                    kRespSafeDefault});
@@ -931,12 +937,8 @@ void PolicyServer::process_batch(Worker& worker) {
   auto& batch = worker.batch;
   if (batch.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  std::shared_ptr<const ActionSnapshot> snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot = snapshot_;
-  }
-  const bool canary_on = !snapshot->candidate.empty();
+  const auto snapshot = this->snapshot();
+  const bool canary_on = snapshot->candidate_version != 0;
   const auto now = std::chrono::steady_clock::now();
   // Respond in arrival order, coalescing consecutive responses to the
   // same target into one send: a pipelined client's whole batch costs a
@@ -967,6 +969,9 @@ void PolicyServer::process_batch(Worker& worker) {
       msg.action = table[pending.query.agent * states_per_agent_ +
                          pending.query.state];
     }
+    (pending.conn ? pending.conn->decided_by
+                  : worker.lane_decided_by[pending.lane]) =
+        msg.flags == kRespCanary ? snapshot->candidate_version : 0;
     if (&pending == &batch.front()) first_action = msg.action;
     append_response(out, msg);
   }

@@ -23,13 +23,15 @@
 //
 // A frozen tabular policy has exactly one greedy action per (agent,
 // state), so every answer the service can give is fixed when a policy is
-// loaded. The server precomputes them into an immutable ActionSnapshot:
+// loaded. The server's only policy state is an immutable ActionSnapshot:
 // one flat action table for the incumbent and, while a canary is staged,
-// one for the candidate. start(), request_reload(), stage_candidate(), a
-// rollback and a promotion each publish a new snapshot under one mutex;
-// a batch copies the snapshot pointer under that mutex once and then
-// answers from the copy, so a batch never mixes two policies and never
-// serves a decision from a policy that was replaced before it began.
+// one for the candidate with its registry version. A governor lives only
+// while its table is built (the constructor, start(), request_reload(),
+// stage_candidate()). Those, a rollback and a promotion each publish a new
+// snapshot under one mutex; a batch copies the snapshot pointer under that
+// mutex once and then answers from the copy, so a batch never mixes two
+// policies and never serves a decision from a policy that was replaced
+// before it began.
 //
 // Robustness semantics mirror the watchdog's graceful-degradation stance:
 // once started, the service degrades instead of failing (start() itself
@@ -44,9 +46,9 @@
 //
 // Hot reload: request_reload() (wired to SIGHUP by `pmrl_cli serve`) or a
 // Reload control frame re-runs try_load_policy on the configured
-// checkpoint path into a staging governor; only a fully validated
-// checkpoint is swapped in, together with its action table, so no
-// decision of the replaced policy is served after the swap.
+// checkpoint path into a fresh governor; only a fully validated
+// checkpoint's action table is published, so no decision of the replaced
+// policy is served after the swap.
 
 #include <atomic>
 #include <chrono>
@@ -112,9 +114,10 @@ struct ServerConfig {
   std::chrono::milliseconds request_timeout{50};
 
   /// Policy checkpoint path; loaded at start() and on every reload. Empty
-  /// serves the freshly constructed (or externally seeded) governor and
-  /// makes reload a no-op failure. A checkpoint that does not load makes
-  /// start() throw; a reload that fails keeps the serving policy.
+  /// serves the incumbent handed to the PolicyServer constructor (a
+  /// fresh-init policy when none was) and makes reload a no-op failure. A
+  /// checkpoint that does not load makes start() throw; a reload that
+  /// fails keeps the serving policy.
   std::string policy_path;
   /// Governor shape served; must match the checkpoint's.
   rl::RlGovernorConfig governor;
@@ -143,7 +146,10 @@ class PolicyRejectedError : public std::runtime_error {
 
 class PolicyServer {
  public:
-  explicit PolicyServer(ServerConfig config);
+  /// Serves `incumbent`'s action table (a fresh-init policy's when null)
+  /// until start() loads a configured policy; keeps nothing else of it.
+  explicit PolicyServer(ServerConfig config,
+                        const rl::RlGovernor* incumbent = nullptr);
   ~PolicyServer();
   PolicyServer(const PolicyServer&) = delete;
   PolicyServer& operator=(const PolicyServer&) = delete;
@@ -164,11 +170,11 @@ class PolicyServer {
   std::uint16_t tcp_port() const { return bound_tcp_port_; }
   const ServerConfig& config() const { return config_; }
 
-  /// Re-runs try_load_policy(policy_path) into a staging governor and, on
-  /// success, swaps it in and publishes its action table (batches that
+  /// Re-runs try_load_policy(policy_path) into a fresh governor and, on
+  /// success, publishes its action table as the incumbent's (batches that
   /// start afterwards serve it). Thread-safe; returns false (with the
   /// parse error in `error` when non-null) on any rejection — the serving
-  /// governor is untouched.
+  /// policy is untouched.
   bool request_reload(std::string* error = nullptr);
 
   /// Drain control for tests and maintenance: paused workers keep
@@ -177,24 +183,18 @@ class PolicyServer {
   void pause_workers();
   void resume_workers();
 
-  /// The currently serving governor. Mutate only before start() (tests
-  /// seed Q-values through this): start() freezes it into the action
-  /// snapshot, so later edits are never served.
-  rl::RlGovernor& governor() { return *governor_; }
-
-  /// Stages a candidate governor (already loaded + frozen) for canary
-  /// serving and starts the rollout evaluator. Thread-safe; replaces any
-  /// candidate already staged. Used by tests and the registry path.
+  /// Stages `candidate`'s action table for canary serving as registry
+  /// version `version` (>= 1) and starts the rollout evaluator. Works
+  /// before start(); thread-safe; replaces any candidate already staged.
+  /// Throws std::invalid_argument on a null or misshapen candidate or
+  /// version 0. Used by tests and the registry path.
   void stage_candidate(std::unique_ptr<rl::RlGovernor> candidate,
                        std::uint64_t version);
 
-  /// Canary state (all readable while serving).
-  bool candidate_active() const {
-    return candidate_active_.load(std::memory_order_acquire);
-  }
-  std::uint64_t candidate_version() const {
-    return candidate_version_.load(std::memory_order_acquire);
-  }
+  /// Canary state (all readable while serving). candidate_version() is 0
+  /// while no candidate is staged.
+  bool candidate_active() const { return candidate_version() != 0; }
+  std::uint64_t candidate_version() const;
   policy::RolloutState rollout_state() const {
     return static_cast<policy::RolloutState>(
         rollout_state_.load(std::memory_order_acquire));
@@ -224,17 +224,26 @@ class PolicyServer {
   struct Worker;
   struct Shard;
   struct ShmWorker;
+  friend struct PolicyServerTestPeer;
   static constexpr std::uint32_t kNoLane = 0xFFFFFFFFu;
 
+  std::unique_ptr<rl::RlGovernor> make_governor() const;
+  /// Throws std::invalid_argument unless `governor` has the served shape.
+  std::vector<std::uint32_t> action_table(
+      const rl::RlGovernor& governor) const;
+  /// Publishes `governor`'s table as the incumbent's; keeps the candidate.
+  void publish_incumbent(const rl::RlGovernor& governor);
+  /// Swaps in a new snapshot; call with snapshot_mutex_ held.
+  void publish_locked(ActionSnapshot next);
+  std::shared_ptr<const ActionSnapshot> snapshot() const;
   void shard_loop(Shard& shard);
   bool stage_candidate_from_registry(std::string* error);
   void handle_report(Worker& worker,
                      const std::shared_ptr<Connection>& conn,
                      std::uint32_t lane, const util::Frame& frame);
-  void finish_rollout(policy::RolloutDecision decision);
-  /// Swaps in a new snapshot; call with snapshot_mutex_ held.
-  void publish_locked(std::vector<std::uint32_t> incumbent,
-                      std::vector<std::uint32_t> candidate);
+  /// Applies a verdict on candidate `version`; dropped once another is staged.
+  void finish_rollout(policy::RolloutDecision decision,
+                      std::uint64_t version);
   void emit_rollout_trace(const char* what, std::uint64_t version);
   void shm_loop(ShmWorker& worker);
   void handle_readable(Worker& worker,
@@ -257,29 +266,24 @@ class PolicyServer {
   void note_queue_depth(std::ptrdiff_t delta);
 
   ServerConfig config_;
-  /// Incumbent and canary candidate; swapped only under snapshot_mutex_,
-  /// together with the snapshot built from them.
-  std::unique_ptr<rl::RlGovernor> governor_;
-  std::unique_ptr<rl::RlGovernor> candidate_;
   std::unique_ptr<policy::PolicyRegistry> registry_;
   /// Canary evaluator; guarded by rollout_mutex_, state mirrored in the
-  /// atomics below for lock-free reads.
+  /// atomic below for lock-free reads.
   policy::RolloutController rollout_;
   std::mutex rollout_mutex_;
-  std::atomic<bool> candidate_active_{false};
-  std::atomic<std::uint64_t> candidate_version_{0};
   std::atomic<std::uint8_t> rollout_state_{0};
   std::atomic<std::uint64_t> rollbacks_{0};
   std::atomic<std::uint64_t> promotions_{0};
   /// Accept-order sequence: the deterministic per-connection route key.
   std::atomic<std::uint64_t> conn_seq_{0};
-  /// Guards governor_, candidate_ and snapshot_. Writers hold it to swap
-  /// a governor and publish its snapshot; a batch holds it only to copy
-  /// snapshot_. (std::atomic<std::shared_ptr> would also do, but GCC 12's
-  /// TSan reports a race inside its libstdc++ implementation.)
-  std::mutex snapshot_mutex_;
+  /// Guards snapshot_. Writers hold it to publish a snapshot; readers
+  /// hold it only to copy the pointer. (std::atomic<std::shared_ptr>
+  /// would also do, but GCC 12's TSan reports a race inside its libstdc++
+  /// implementation.)
+  mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const ActionSnapshot> snapshot_;
   std::mutex reload_mutex_;
+  /// The served shape and safe default, fixed at construction.
   std::size_t agent_count_ = 0;
   std::size_t states_per_agent_ = 0;
   std::uint32_t safe_action_ = 0;

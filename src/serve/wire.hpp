@@ -39,8 +39,10 @@ enum class MsgType : std::uint8_t {
   ReloadAck = 6,
   Error = 7,
   /// Decision-outcome feedback for the canary evaluator: the realized
-  /// energy/QoS of decisions this connection received. The server
-  /// attributes the report to the connection's rollout arm.
+  /// energy/QoS of the last decision this connection received. The
+  /// server credits an incumbent-cohort report to the incumbent, and a
+  /// canary-cohort report to the candidate only when the candidate under
+  /// evaluation made that decision (otherwise to neither arm).
   Report = 8,
   /// Acknowledges a Report: which arm it was credited to and the rollout
   /// state after evaluation (policy::RolloutState as u8).
@@ -95,7 +97,10 @@ struct ReportMsg {
 
 struct ReportAckMsg {
   std::uint64_t request_id = 0;
-  /// True when the report was credited to the candidate arm.
+  /// True when the report was credited to the candidate arm: the
+  /// connection is in the canary cohort, a canary is being evaluated, and
+  /// that candidate (not the incumbent, a safe default or an earlier
+  /// candidate) decided the connection's last answer.
   bool candidate_arm = false;
   /// policy::RolloutState of the evaluator after this report.
   std::uint8_t rollout_state = 0;

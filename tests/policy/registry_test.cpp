@@ -14,6 +14,8 @@
 #include <string>
 
 #include "rl/policy_io.hpp"
+#include "util/crc32.hpp"
+#include "util/framing.hpp"
 
 namespace pmrl::policy {
 namespace {
@@ -126,16 +128,24 @@ TEST(PolicyRegistryTest, CorruptMetaIsSkippedNotServed) {
   EXPECT_EQ(registry.add(marked_governor(-3.0), lineage_meta()), 3u);
 }
 
-TEST(PolicyRegistryTest, CorruptCurrentPointerReadsAsUnset) {
+// Only an absent CURRENT reads as "nothing promoted"; a damaged one is a
+// typed error, so no caller mistakes it for a fresh registry.
+TEST(PolicyRegistryTest, CorruptCurrentPointerIsATypedError) {
   PolicyRegistry registry(test_dir());
   registry.add(marked_governor(-1.0), lineage_meta());
-  registry.promote(1);
-  ASSERT_TRUE(registry.current().has_value());
-  {
-    std::ofstream out(registry.dir() / "CURRENT", std::ios::binary);
-    out << "1\ncrc32,00000000\n";
-  }
   EXPECT_FALSE(registry.current().has_value());
+  registry.promote(1);
+  ASSERT_EQ(registry.current(), 1u);
+  const std::string bad_crc = "1\ncrc32,00000000\n";
+  const std::string no_number =
+      "one\n" + util::crc32_footer_line(pmrl::crc32("one\n"));
+  for (const std::string& damaged : {bad_crc, no_number, std::string()}) {
+    {
+      std::ofstream out(registry.dir() / "CURRENT", std::ios::binary);
+      out << damaged;
+    }
+    EXPECT_THROW((void)registry.current(), CorruptCurrentError) << damaged;
+  }
 }
 
 // Satellite: a registry entry whose checkpoint was written by an old build

@@ -4,6 +4,9 @@
 // must auto-rollback within the settle window with zero connection drops,
 // a better one must promote. After every transition both cohorts are swept
 // over every (agent, state) against the governor their arm should serve.
+// Credit and verdicts bind to the candidate that decided: a report on an
+// earlier candidate's answer or on a safe default earns no credit, and a
+// verdict on a candidate that was staged away is dropped.
 // Runs whole under TSan with the rest of test_serve
 // (acceptor/worker/report/verdict thread choreography).
 
@@ -20,6 +23,26 @@
 #include "policy/rollout.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+
+namespace pmrl::serve {
+
+/// Test-only seam into the verdict path.
+struct PolicyServerTestPeer {
+  /// Applies `decision` as if a report had just closed the deciding
+  /// window of candidate `version`.
+  static void finish_rollout(PolicyServer& server,
+                             policy::RolloutDecision decision,
+                             std::uint64_t version) {
+    server.finish_rollout(decision, version);
+  }
+  /// The rollout evaluator; read it only while no report is in flight.
+  static const policy::RolloutController& rollout(
+      const PolicyServer& server) {
+    return server.rollout_;
+  }
+};
+
+}  // namespace pmrl::serve
 
 namespace pmrl {
 namespace {
@@ -153,14 +176,14 @@ TEST(CanaryRollout, WorseCandidateAutoRollsBackWithZeroDrops) {
   ASSERT_TRUE(server.candidate_active());
   EXPECT_EQ(server.candidate_version(), 2u);
   EXPECT_EQ(server.rollout_state(), policy::RolloutState::Canary);
-  // The incumbent came from the registry's CURRENT pointer.
-  EXPECT_EQ(server.governor().agent(0).q_value(7, 1), 5.0);
 
   std::vector<serve::Client> clients;
   std::vector<bool> canary;
   connect_and_split(config, clients, canary);
+  // The incumbent came from the registry's CURRENT pointer.
+  const auto incumbent = registry_governor(dir, 1);
   const auto candidate = registry_governor(dir, 2);
-  expect_cohorts_serve(clients, canary, server.governor(), &candidate);
+  expect_cohorts_serve(clients, canary, incumbent, &candidate);
 
   // Candidate spends 2x the energy per QoS: regression beyond the 5%
   // threshold in every window -> rollback after 2 settle windows.
@@ -178,7 +201,7 @@ TEST(CanaryRollout, WorseCandidateAutoRollsBackWithZeroDrops) {
     EXPECT_EQ(result.action, 1u);
     EXPECT_FALSE(result.canary);
   }
-  expect_cohorts_serve(clients, canary, server.governor(), nullptr);
+  expect_cohorts_serve(clients, canary, incumbent, nullptr);
 
   // The registry recorded the verdict; CURRENT still names the incumbent.
   policy::PolicyRegistry registry(dir);
@@ -194,7 +217,7 @@ TEST(CanaryRollout, WorseCandidateAutoRollsBackWithZeroDrops) {
   EXPECT_EQ(server.candidate_version(), 3u);
   EXPECT_EQ(server.rollout_state(), policy::RolloutState::Canary);
   const auto next = registry_governor(dir, 3);
-  expect_cohorts_serve(clients, canary, server.governor(), &next);
+  expect_cohorts_serve(clients, canary, incumbent, &next);
   server.stop();
 }
 
@@ -210,7 +233,8 @@ TEST(CanaryRollout, BetterCandidatePromotes) {
   std::vector<bool> canary;
   connect_and_split(config, clients, canary);
   const auto candidate = registry_governor(dir, 2);
-  expect_cohorts_serve(clients, canary, server.governor(), &candidate);
+  expect_cohorts_serve(clients, canary, registry_governor(dir, 1),
+                       &candidate);
 
   // Candidate spends 10% less energy per QoS: healthy windows -> promote.
   drive_reports(clients, canary, 0.9, policy::RolloutState::Promoted);
@@ -227,7 +251,7 @@ TEST(CanaryRollout, BetterCandidatePromotes) {
     EXPECT_EQ(result.action, 2u);
     EXPECT_FALSE(result.canary);
   }
-  expect_cohorts_serve(clients, canary, server.governor(), nullptr);
+  expect_cohorts_serve(clients, canary, candidate, nullptr);
   policy::PolicyRegistry registry(dir);
   EXPECT_EQ(registry.meta(2)->status, policy::PolicyStatus::Promoted);
   EXPECT_EQ(*registry.current(), 2u);
@@ -246,6 +270,101 @@ TEST(CanaryRollout, StartRejectsUnloadableCurrent) {
   serve::PolicyServer server(canary_config(dir));
   EXPECT_THROW(server.start(), serve::PolicyRejectedError);
   EXPECT_FALSE(server.running());
+}
+
+/// Registers v3 (action 0 at state 7) and stages it the way SIGHUP does.
+void stage_v3(const std::filesystem::path& dir, serve::PolicyServer& server) {
+  policy::PolicyRegistry registry(dir);
+  policy::PolicyMeta meta;
+  meta.parent_version = 1;
+  ASSERT_EQ(registry.add(marked_governor(0), meta), 3u);
+  ASSERT_TRUE(server.request_reload());
+  ASSERT_EQ(server.candidate_version(), 3u);
+}
+
+// A report about an answer candidate v2 made, arriving after v3 was staged,
+// counts for neither arm; once v3 has answered, the reports are v3's.
+TEST(CanaryRollout, ReportOnAnEarlierCandidatesAnswerIsNotCredited) {
+  const auto dir = test_registry_dir();
+  seed_registry(dir);
+  auto config = canary_config(dir);
+  config.rollout.canary_pct = 100.0;
+  serve::PolicyServer server(config);
+  server.start();
+  auto client = serve::Client::connect_uds(config.uds_path);
+  const auto answer = client.query(7);
+  ASSERT_EQ(answer.action, 2u);
+  ASSERT_TRUE(answer.canary);
+  ASSERT_NO_FATAL_FAILURE(stage_v3(dir, server));
+  EXPECT_FALSE(client.report(1.0, 1.0).candidate_arm);
+  const auto next = client.query(7);
+  EXPECT_EQ(next.action, 0u);
+  EXPECT_TRUE(next.canary);
+  EXPECT_TRUE(client.report(1.0, 1.0).candidate_arm);
+  server.stop();
+}
+
+// A shed query gets the safe default, which no policy decided: a report
+// about it counts for neither arm, and the next candidate answer earns
+// credit again.
+TEST(CanaryRollout, ReportOnASafeDefaultIsNotCredited) {
+  const auto dir = test_registry_dir();
+  seed_registry(dir);
+  auto config = canary_config(dir);
+  config.rollout.canary_pct = 100.0;
+  config.workers = 1;
+  config.queue_capacity = 1;
+  serve::PolicyServer server(config);
+  server.start();
+  auto client = serve::Client::connect_uds(config.uds_path);
+  ASSERT_TRUE(client.query(7).canary);
+  server.pause_workers();
+  const std::uint64_t queued = client.send_query(7);
+  (void)client.send_query(7);  // the queue is full: shed
+  ASSERT_TRUE(client.recv_response().flags & serve::kRespSafeDefault);
+  EXPECT_FALSE(client.report(1.0, 1.0).candidate_arm);
+  server.resume_workers();
+  const auto answer = client.recv_response();
+  EXPECT_EQ(answer.request_id, queued);
+  EXPECT_EQ(answer.flags, serve::kRespCanary);
+  EXPECT_TRUE(client.report(1.0, 1.0).candidate_arm);
+  server.stop();
+}
+
+// A verdict reached on v2's windows lands after v3 was staged: v3 keeps
+// serving with fresh windows, the registry records no verdict for it, and
+// CURRENT still names the incumbent.
+TEST(CanaryRollout, VerdictOnAnEarlierCandidateIsDropped) {
+  const auto dir = test_registry_dir();
+  seed_registry(dir);
+  auto config = canary_config(dir);
+  config.rollout.canary_pct = 100.0;
+  serve::PolicyServer server(config);
+  server.start();
+  auto client = serve::Client::connect_uds(config.uds_path);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.query(7).canary);
+    ASSERT_TRUE(client.report(1.0, 1.0).candidate_arm);
+  }
+  ASSERT_NO_FATAL_FAILURE(stage_v3(dir, server));
+  for (const auto decision :
+       {policy::RolloutDecision::Promote, policy::RolloutDecision::Rollback}) {
+    serve::PolicyServerTestPeer::finish_rollout(server, decision, 2);
+  }
+
+  EXPECT_EQ(server.candidate_version(), 3u);
+  EXPECT_EQ(server.rollout_state(), policy::RolloutState::Canary);
+  EXPECT_EQ(server.promotions(), 0u);
+  EXPECT_EQ(server.rollbacks(), 0u);
+  test::expect_serves_greedy(client, registry_governor(dir, 3), true);
+  const auto& rollout = serve::PolicyServerTestPeer::rollout(server);
+  EXPECT_EQ(rollout.candidate_version(), 3u);
+  EXPECT_EQ(rollout.arm_reports(true) + rollout.arm_reports(false), 0u);
+  EXPECT_EQ(rollout.windows_evaluated(), 0u);
+  policy::PolicyRegistry registry(dir);
+  EXPECT_EQ(registry.meta(3)->status, policy::PolicyStatus::Canary);
+  EXPECT_EQ(registry.current(), 1u);
+  server.stop();
 }
 
 TEST(CanaryRollout, ZeroPctStagesNothing) {

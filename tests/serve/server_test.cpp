@@ -46,24 +46,28 @@ serve::ServerConfig base_config() {
   return config;
 }
 
-/// Writes a checkpoint (default governor shape) whose greedy move for
-/// `state` on every agent is `action`, with margin far above the down-bias
-/// selection prior.
-void write_policy_file(const std::string& path, std::size_t state,
-                       std::size_t action) {
+/// Default-shape governor whose greedy move for `state` on every agent is
+/// `action`, with margin far above the down-bias selection prior.
+rl::RlGovernor marked_governor(std::size_t state, std::size_t action) {
   rl::RlGovernor governor(rl::RlGovernorConfig{}, 2);
   for (std::size_t agent = 0; agent < governor.agent_count(); ++agent) {
     governor.agent(agent).set_q_value(state, action, 5.0);
   }
+  return governor;
+}
+
+/// Writes marked_governor(state, action) as a checkpoint.
+void write_policy_file(const std::string& path, std::size_t state,
+                       std::size_t action) {
   std::ofstream out(path);
   ASSERT_TRUE(out);
-  rl::save_policy(governor, out);
+  rl::save_policy(marked_governor(state, action), out);
 }
 
 TEST(PolicyServer, UdsQueryReturnsGreedyAction) {
   auto config = base_config();
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(7, 2, 5.0);
+  const auto governor = marked_governor(7, 2);
+  serve::PolicyServer server(config, &governor);
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
   const auto result = client.query(7);
@@ -77,8 +81,8 @@ TEST(PolicyServer, TcpQueryWorks) {
   config.uds_path.clear();
   config.tcp_enable = true;
   config.tcp_port = 0;  // ephemeral
-  serve::PolicyServer server(config);
-  server.governor().agent(1).set_q_value(3, 2, 5.0);
+  const auto governor = marked_governor(3, 2);
+  serve::PolicyServer server(config, &governor);
   server.start();
   ASSERT_GT(server.tcp_port(), 0);
   auto client = serve::Client::connect_tcp("127.0.0.1", server.tcp_port());
@@ -90,9 +94,9 @@ TEST(PolicyServer, TcpQueryWorks) {
 
 TEST(PolicyServer, BadStateAndAgentGetErrorAndConnectionSurvives) {
   auto config = base_config();
-  serve::PolicyServer server(config);
-  const auto states = server.governor().agent(0).state_count();
-  server.governor().agent(0).set_q_value(1, 2, 5.0);
+  const auto governor = marked_governor(1, 2);
+  const auto states = governor.agent(0).state_count();
+  serve::PolicyServer server(config, &governor);
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
   EXPECT_THROW(client.query(states + 10), serve::ClientError);
@@ -106,9 +110,9 @@ TEST(PolicyServer, BadStateAndAgentGetErrorAndConnectionSurvives) {
 TEST(PolicyServer, GarbageBytesDropOnlyThatConnection) {
   auto config = base_config();
   obs::MetricsRegistry metrics;
-  serve::PolicyServer server(config);
+  const auto governor = marked_governor(1, 2);
+  serve::PolicyServer server(config, &governor);
   server.set_metrics(&metrics);
-  server.governor().agent(0).set_q_value(1, 2, 5.0);
   server.start();
   {
     auto vandal = serve::Client::connect_uds(config.uds_path);
@@ -131,8 +135,8 @@ TEST(PolicyServer, GarbageBytesDropOnlyThatConnection) {
 
 TEST(PolicyServer, TruncatedFrameCompletesAcrossWrites) {
   auto config = base_config();
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(4, 2, 5.0);
+  const auto governor = marked_governor(4, 2);
+  serve::PolicyServer server(config, &governor);
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
   std::string frame;
@@ -152,11 +156,12 @@ TEST(PolicyServer, TruncatedFrameCompletesAcrossWrites) {
 TEST(PolicyServer, PipelinedAnswersSurviveReceiveCompaction) {
   auto config = base_config();
   config.queue_capacity = 1024;  // all 300 in flight, none shed
-  serve::PolicyServer server(config);
-  test::seed_varied_actions(server.governor());
+  rl::RlGovernor governor(config.governor, config.cluster_count);
+  test::seed_varied_actions(governor);
+  serve::PolicyServer server(config, &governor);
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
-  test::expect_pipelined_greedy(client, server.governor(), 300);
+  test::expect_pipelined_greedy(client, governor, 300);
   server.stop();
 }
 
@@ -168,13 +173,13 @@ TEST(PolicyServer, ReloadSwapsPolicy) {
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
   EXPECT_EQ(client.query(9).action, 2u);
-  test::expect_serves_greedy(client, server.governor(), false);
+  test::expect_serves_greedy(client, marked_governor(9, 2), false);
 
   write_policy_file(config.policy_path, 9, 1);
   std::string error;
   ASSERT_TRUE(client.reload(&error)) << error;
   EXPECT_EQ(client.query(9).action, 1u);  // the reloaded policy answers
-  test::expect_serves_greedy(client, server.governor(), false);
+  test::expect_serves_greedy(client, marked_governor(9, 1), false);
   server.stop();
   ::unlink(config.policy_path.c_str());
 }
@@ -228,8 +233,8 @@ TEST(PolicyServer, OverloadShedsSafeDefaultsWithoutDrops) {
   auto config = base_config();
   config.workers = 1;
   config.queue_capacity = 4;
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(2, 2, 5.0);
+  const auto governor = marked_governor(2, 2);
+  serve::PolicyServer server(config, &governor);
   server.start();
   server.pause_workers();  // stall the drain so the queue fills
 
@@ -265,8 +270,8 @@ TEST(PolicyServer, StaleRequestsDegradeToSafeDefault) {
   auto config = base_config();
   config.workers = 1;
   config.request_timeout = 1ms;
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(8, 2, 5.0);
+  const auto governor = marked_governor(8, 2);
+  serve::PolicyServer server(config, &governor);
   server.start();
   server.pause_workers();
   auto client = serve::Client::connect_uds(config.uds_path);
@@ -286,10 +291,10 @@ TEST(PolicyServer, MetricsAndTraceAreWired) {
   auto config = base_config();
   obs::MetricsRegistry metrics;
   obs::VectorTraceSink trace;
-  serve::PolicyServer server(config);
+  const auto governor = marked_governor(5, 2);
+  serve::PolicyServer server(config, &governor);
   server.set_metrics(&metrics);
   server.set_trace_sink(&trace);
-  server.governor().agent(0).set_q_value(5, 2, 5.0);
   server.start();
   auto client = serve::Client::connect_uds(config.uds_path);
   for (int i = 0; i < 10; ++i) (void)client.query(5);
@@ -364,12 +369,67 @@ TEST(PolicyServer, ReloadInvalidationUnderConcurrentQueries) {
   ::unlink(config.policy_path.c_str());
 }
 
+// The canary accessors are read from another thread while the test thread
+// alternates reloads and stages and a client queries. Each read comes from
+// one published snapshot (the TSan gate for the accessors), and only staged
+// versions are ever read.
+TEST(PolicyServer, CanaryAccessorsReadSafelyUnderConcurrentStages) {
+  auto config = base_config();
+  config.policy_path = test_socket_path() + ".pmrl";
+  config.rollout.canary_pct = 50.0;
+  write_policy_file(config.policy_path, 9, 1);
+  serve::PolicyServer server(config);
+  server.start();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::atomic<int> bad_actions{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      (void)server.candidate_active();
+      (void)server.responses();
+      const auto state = server.rollout_state();
+      if (server.candidate_version() > 10 ||
+          (state != policy::RolloutState::Idle &&
+           state != policy::RolloutState::Canary)) {
+        ++bad_reads;
+      }
+    }
+  });
+  std::thread querier([&] {
+    auto client = serve::Client::connect_uds(config.uds_path);
+    while (!done.load(std::memory_order_relaxed)) {
+      const auto action = client.query(9).action;
+      if (action != 1u && action != 2u) ++bad_actions;
+    }
+  });
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    if (round % 2 == 0) {
+      server.stage_candidate(
+          std::make_unique<rl::RlGovernor>(marked_governor(9, 2)),
+          round / 2 + 1);
+    } else {
+      EXPECT_TRUE(server.request_reload());
+    }
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  querier.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(bad_actions.load(), 0);
+  EXPECT_TRUE(server.candidate_active());
+  EXPECT_EQ(server.candidate_version(), 10u);
+  EXPECT_EQ(server.rollout_state(), policy::RolloutState::Canary);
+  server.stop();
+  ::unlink(config.policy_path.c_str());
+}
+
 TEST(PolicyServer, ManyConnectionsConcurrently) {
   auto config = base_config();
   config.workers = 4;
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(1, 2, 5.0);
-  server.governor().agent(1).set_q_value(2, 2, 5.0);
+  auto governor = marked_governor(1, 2);
+  governor.agent(1).set_q_value(2, 2, 5.0);
+  serve::PolicyServer server(config, &governor);
   server.start();
   constexpr int kClients = 6;
   constexpr int kQueriesEach = 200;

@@ -118,11 +118,11 @@ TEST(ShmSegment, OpenRejectsMissingOrMalformed) {
 TEST(ShmServe, QueryPingReloadAndCacheWork) {
   auto config = shm_config();
   config.policy_path = test_path(".pmrl");
+  rl::RlGovernor governor(config.governor, config.cluster_count);
+  for (std::size_t agent = 0; agent < governor.agent_count(); ++agent) {
+    governor.agent(agent).set_q_value(9, 2, 5.0);
+  }
   {
-    rl::RlGovernor governor(config.governor, config.cluster_count);
-    for (std::size_t agent = 0; agent < governor.agent_count(); ++agent) {
-      governor.agent(agent).set_q_value(9, 2, 5.0);
-    }
     std::ofstream out(config.policy_path);
     ASSERT_TRUE(out);
     rl::save_policy(governor, out);
@@ -133,13 +133,9 @@ TEST(ShmServe, QueryPingReloadAndCacheWork) {
     serve::ShmClient client(config.shm_path);
     EXPECT_TRUE(client.ping(1234));
     EXPECT_EQ(client.query(9).action, 2u);
-    test::expect_serves_greedy(client, server.governor(), false);
+    test::expect_serves_greedy(client, governor, false);
 
-    // Hot reload over the shm control path swaps the served policy. The
-    // sweep compares against the governor written here, not
-    // server.governor(): the reload ran on an shm worker, and the two
-    // mappings of the segment sit at different addresses, so TSan cannot
-    // see the ring's acquire/release pairing as ordering that read.
+    // Hot reload over the shm control path swaps the served policy.
     rl::RlGovernor reloaded(config.governor, config.cluster_count);
     for (std::size_t agent = 0; agent < reloaded.agent_count(); ++agent) {
       reloaded.agent(agent).set_q_value(9, 1, 5.0);
@@ -161,12 +157,13 @@ TEST(ShmServe, QueryPingReloadAndCacheWork) {
 // PolicyServer.PipelinedAnswersSurviveReceiveCompaction.
 TEST(ShmServe, PipelinedAnswersSurviveReceiveCompaction) {
   auto config = shm_config();
-  serve::PolicyServer server(config);
-  test::seed_varied_actions(server.governor());
+  rl::RlGovernor governor(config.governor, config.cluster_count);
+  test::seed_varied_actions(governor);
+  serve::PolicyServer server(config, &governor);
   server.start();
   {
     serve::ShmClient client(config.shm_path);
-    test::expect_pipelined_greedy(client, server.governor(), 300);
+    test::expect_pipelined_greedy(client, governor, 300);
   }
   server.stop();
 }
@@ -174,8 +171,9 @@ TEST(ShmServe, PipelinedAnswersSurviveReceiveCompaction) {
 TEST(ShmServe, LanesExhaustThenRecycle) {
   auto config = shm_config();
   config.shm_lanes = 2;
-  serve::PolicyServer server(config);
-  server.governor().agent(0).set_q_value(1, 2, 5.0);
+  rl::RlGovernor governor(config.governor, config.cluster_count);
+  governor.agent(0).set_q_value(1, 2, 5.0);
+  serve::PolicyServer server(config, &governor);
   server.start();
   auto a = std::make_unique<serve::ShmClient>(config.shm_path);
   auto b = std::make_unique<serve::ShmClient>(config.shm_path);
@@ -206,9 +204,10 @@ TEST(ShmServe, LanesExhaustThenRecycle) {
 TEST(ShmServe, CorruptFramePoisonsOnlyThatLane) {
   auto config = shm_config();
   obs::MetricsRegistry metrics;
-  serve::PolicyServer server(config);
+  rl::RlGovernor governor(config.governor, config.cluster_count);
+  governor.agent(0).set_q_value(1, 2, 5.0);
+  serve::PolicyServer server(config, &governor);
   server.set_metrics(&metrics);
-  server.governor().agent(0).set_q_value(1, 2, 5.0);
   server.start();
   std::string frame;
   serve::append_query(frame, serve::QueryMsg{77, 0, 1});
@@ -262,14 +261,12 @@ TEST(ShmServe, TransportsAreDecisionIdentical) {
     }
   }
 
-  auto seed = [](serve::PolicyServer& server) {
-    for (std::size_t agent = 0; agent < 2; ++agent) {
-      for (std::size_t s = 0; s < 240; ++s) {
-        server.governor().agent(agent).set_q_value(
-            s, (s * 13 + agent) % 3, 2.0);
-      }
+  rl::RlGovernor governor(rl::RlGovernorConfig{}, 2);
+  for (std::size_t agent = 0; agent < 2; ++agent) {
+    for (std::size_t s = 0; s < 240; ++s) {
+      governor.agent(agent).set_q_value(s, (s * 13 + agent) % 3, 2.0);
     }
-  };
+  }
   auto run = [&](auto& client) {
     std::vector<std::tuple<std::uint32_t, bool, bool>> out;
     for (const Step& step : steps) {
@@ -282,8 +279,7 @@ TEST(ShmServe, TransportsAreDecisionIdentical) {
   serve::ServerConfig uds_config;
   uds_config.uds_path = test_path(".sock");
   uds_config.workers = 2;
-  serve::PolicyServer uds_server(uds_config);
-  seed(uds_server);
+  serve::PolicyServer uds_server(uds_config, &governor);
   uds_server.start();
   auto uds_client = serve::Client::connect_uds(uds_config.uds_path);
   const auto uds_out = run(uds_client);
@@ -293,8 +289,7 @@ TEST(ShmServe, TransportsAreDecisionIdentical) {
   tcp_config.uds_path.clear();
   tcp_config.tcp_enable = true;
   tcp_config.workers = 2;
-  serve::PolicyServer tcp_server(tcp_config);
-  seed(tcp_server);
+  serve::PolicyServer tcp_server(tcp_config, &governor);
   tcp_server.start();
   auto tcp_client =
       serve::Client::connect_tcp("127.0.0.1", tcp_server.tcp_port());
@@ -302,8 +297,7 @@ TEST(ShmServe, TransportsAreDecisionIdentical) {
   tcp_server.stop();
 
   auto shm_cfg = shm_config();
-  serve::PolicyServer shm_server(shm_cfg);
-  seed(shm_server);
+  serve::PolicyServer shm_server(shm_cfg, &governor);
   shm_server.start();
   serve::ShmClient shm_client(shm_cfg.shm_path);
   const auto shm_out = run(shm_client);
