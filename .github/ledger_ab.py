@@ -7,12 +7,14 @@ BASE and HEAD are checkouts of the repository that hold the same ledger/ and
 BENCHMARK.json (copy HEAD's over BASE first), so both sides run the same
 benchmark against their own sources. Every workload in BENCHMARK.json runs at
 its run_seconds once per seed in SEEDS on each side, the two sides back to
-back and taking turns at going first, so a slow spell of the host falls on
-both. Each run builds its side on first use (ledger/run.py), outside the
+back, and each workload swaps which side goes first from seed to seed, so a
+slow spell of the host falls on both. Each run builds its side on first use (ledger/run.py), outside the
 timed part.
 
 For each workload and end-to-end metric the medians over the seeds are
-compared. When HEAD is worse than BASE by more than the metric's bound, the
+compared, and the "won" column counts the seeds on which HEAD did better
+than BASE, over the seeds both sides ran (a gain claim's pairs won read off
+it). When HEAD is worse than BASE by more than the metric's bound, the
 verdict is FAIL if BASE's own quartile spread (interquartile distance over
 the median) is within the bound, and "unresolved" if it is wider: the host
 then moved BASE by as much as the bound, and the pair cannot tell. Only
@@ -62,13 +64,13 @@ def main(argv):
     with open(os.path.join(sides["head"], "BENCHMARK.json")) as f:
         bench = json.load(f)
     workloads = [w["name"] for w in bench["workloads"]]
-    values = {}  # (side, workload, metric) -> [value per run]
+    values = {}  # (side, workload, metric) -> {seed: value}
     incorrect, broken = [], []
-    turn = 0
-    for seed in SEEDS:
-        for workload in workloads:
-            order = ("base", "head") if turn % 2 == 0 else ("head", "base")
-            turn += 1
+    for i, seed in enumerate(SEEDS):
+        for j, workload in enumerate(workloads):
+            # Each workload swaps which side goes first from seed to seed,
+            # however many workloads there are.
+            order = ("base", "head") if (i + j) % 2 == 0 else ("head", "base")
             for side in order:
                 result, code, notes = run(sides[side], bench["command"],
                                           workload, seed, bench["run_seconds"])
@@ -80,7 +82,7 @@ def main(argv):
                 if not result["correct"]:
                     incorrect.append((tag, notes))
                 for name, metric in result["metrics"].items():
-                    values.setdefault((side, workload, name), []).append(
+                    values.setdefault((side, workload, name), {})[seed] = (
                         metric["value"])
                 print(f"{tag}: " + ", ".join(
                     f"{name} {m['value']:.4g}"
@@ -91,26 +93,32 @@ def main(argv):
 
     failed = any(side == "head" for side, *_ in broken)
     print(f"\n{'workload':<13} {'metric':<17} {'base':>10} {'head':>10} "
-          f"{'change':>7} {'spread':>7} {'bound':>5}  verdict")
+          f"{'change':>7} {'spread':>7} {'bound':>5} {'won':>5}  verdict")
     for workload in workloads:
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            base = values.get(("base", workload, name), [])
-            head = values.get(("head", workload, name), [])
+            base = values.get(("base", workload, name), {})
+            head = values.get(("head", workload, name), {})
             if len(base) < 2 or not head:
                 print(f"{workload:<13} {name:<17} no data")
                 continue
-            b, h = statistics.median(base), statistics.median(head)
-            q1, _, q3 = statistics.quantiles(base, n=4)
+            b = statistics.median(base.values())
+            h = statistics.median(head.values())
+            q1, _, q3 = statistics.quantiles(base.values(), n=4)
             spread = (q3 - q1) / b
             change = (h - b) / b
-            worse = change if metric["better"] == "lower" else -change
+            sign = -1 if metric["better"] == "lower" else 1
+            worse = -sign * change
+            pairs = [s for s in SEEDS if s in base and s in head]
+            wins = sum(sign * (head[s] - base[s]) > 0 for s in pairs)
+            won = f"{wins}/{len(pairs)}"
             verdict = "ok"
             if worse > bound:
                 verdict = "FAIL" if spread <= bound else "unresolved"
                 failed = failed or verdict == "FAIL"
             print(f"{workload:<13} {name:<17} {b:>10.4g} {h:>10.4g} "
-                  f"{change:>+7.1%} {spread:>7.1%} {bound:>5.0%}  {verdict}")
+                  f"{change:>+7.1%} {spread:>7.1%} {bound:>5.0%} {won:>5}  "
+                  f"{verdict}")
     for tag, notes in incorrect:
         print(f"correct: false on {tag}")
         for note in notes:

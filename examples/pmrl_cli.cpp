@@ -469,14 +469,9 @@ int cmd_train(const Args& args) {
 
 int cmd_policy(const Args& args) {
   if (args.positional.size() < 2) {
-    std::fprintf(stderr,
-                 "policy needs a verb: list, show, promote, rollback\n");
-    return 1;
+    throw UsageError("policy needs a verb: list, show, promote, rollback");
   }
-  if (args.registry.empty()) {
-    std::fprintf(stderr, "policy needs --registry DIR\n");
-    return 1;
-  }
+  if (args.registry.empty()) throw UsageError("policy needs --registry DIR");
   policy::PolicyRegistry registry(args.registry);
   const std::string& verb = args.positional[1];
   const auto version_arg = [&]() -> std::uint64_t {
@@ -595,8 +590,7 @@ bool write_metrics(const std::string& path,
 
 int cmd_eval(const Args& args) {
   if (args.positional.size() < 2) {
-    std::fprintf(stderr, "eval needs a governor name or checkpoint path\n");
-    return 1;
+    throw UsageError("eval needs a governor name or checkpoint path");
   }
   const std::string& target = args.positional[1];
 
@@ -800,9 +794,7 @@ void serve_signal_handler(int sig) {
 
 int cmd_serve(const Args& args) {
   if (args.uds.empty() && args.tcp_port < 0 && args.shm.empty()) {
-    std::fprintf(stderr,
-                 "serve needs --uds PATH, --tcp-port N, and/or --shm PATH\n");
-    return 1;
+    throw UsageError("serve needs --uds PATH, --tcp-port N, and/or --shm PATH");
   }
   serve::ServerConfig config;
   config.uds_path = args.uds;
@@ -888,8 +880,7 @@ int cmd_serve(const Args& args) {
 
 int cmd_query(const Args& args) {
   if (args.positional.size() < 2) {
-    std::fprintf(stderr, "query needs a quantized state index\n");
-    return 1;
+    throw UsageError("query needs a quantized state index");
   }
   const std::uint64_t state =
       parse_number<std::uint64_t>("query", args.positional[1]);
@@ -1025,10 +1016,7 @@ std::string resolve_replay_format(const Args& args,
 }
 
 int cmd_replay(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr, "replay needs a file path\n");
-    return 1;
-  }
+  if (args.positional.size() < 2) throw UsageError("replay needs a file path");
   const std::string& path = args.positional[1];
   std::ifstream in(path, std::ios::binary);
   if (!in) {

@@ -9,10 +9,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -68,10 +70,10 @@ struct PolicyServer::ActionSnapshot {
 
 /// One client connection, owned by exactly one shard thread (reads,
 /// decides, and writes all happen on that thread, so no per-connection
-/// lock is needed). The file descriptor closes when the last shared_ptr
-/// drops, so a response for a request that outlived its connection writes
-/// to a still-valid fd (at worst into a shut-down socket) instead of a
-/// recycled one.
+/// lock is needed). The shard frees a closed connection, and with it the
+/// fd, only once its request ring no longer refers to it, so an answer to
+/// a request that outlived its connection is dropped instead of written to
+/// a recycled fd.
 struct PolicyServer::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
   ~Connection() {
@@ -97,24 +99,34 @@ struct PolicyServer::Connection {
 /// transports) or `lane != kNoLane` (shm transport) identifies where the
 /// response goes.
 struct PolicyServer::Pending {
-  std::shared_ptr<Connection> conn;
+  Connection* conn = nullptr;
   std::uint32_t lane = kNoLane;
   /// Canary-cohort flag of the originating connection/lane.
   bool canary = false;
   QueryMsg query;
-  std::chrono::steady_clock::time_point enqueued;
+  /// Clock read of the receive pass that decoded the request.
+  std::chrono::steady_clock::time_point received;
 };
 
-/// Per-worker state: the bounded pending queue and reusable scratch for
-/// batching. One Worker per shard thread and one per shm worker thread;
-/// nothing in here is shared.
+/// Per-worker state: the request ring and the outgoing buffer. One Worker
+/// per shard thread and one per shm worker thread; nothing in here is
+/// shared.
 struct PolicyServer::Worker {
-  std::deque<Pending> pending;
+  /// queue_capacity slots, allocated at start(); the `count` pending
+  /// requests run from `head`, wrapping at the end.
+  std::vector<Pending> ring;
+  std::size_t head = 0;
+  std::size_t count = 0;
+  /// The receive pass in progress: its one clock read stamps every query
+  /// it decodes, and `decoded` counts them, queued or shed.
+  std::chrono::steady_clock::time_point received;
+  std::size_t decoded = 0;
   /// Connection::decided_by of each shm lane (shm workers only).
   std::vector<std::uint64_t> lane_decided_by;
-  // Batch scratch (reused allocation across batches).
-  std::vector<Pending> batch;
+  /// Answers not yet sent, all for the target of `tx_to` (a ring slot,
+  /// stable until the decide pass ends).
   std::string tx;
+  const Pending* tx_to = nullptr;
 };
 
 struct PolicyServer::Shard {
@@ -332,6 +344,7 @@ void PolicyServer::start() {
   shards_.clear();
   for (std::size_t i = 0; i < config_.workers; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->worker.ring.resize(config_.queue_capacity);
   }
   if (config_.tcp_enable) {
     // One listener per shard, all bound to the same port with
@@ -380,6 +393,7 @@ void PolicyServer::start() {
         std::min(config_.shm_workers, config_.shm_lanes);
     for (std::size_t i = 0; i < count; ++i) {
       shm_workers_.push_back(std::make_unique<ShmWorker>(i));
+      shm_workers_.back()->worker.ring.resize(config_.queue_capacity);
     }
   }
 
@@ -469,8 +483,13 @@ void PolicyServer::stage_candidate(std::unique_ptr<rl::RlGovernor> candidate,
     throw std::invalid_argument("serve: candidate version must be >= 1");
   }
   auto table = action_table(*candidate);
+  std::uint64_t replaced = 0;
   {
     const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    // A verdict that landed first has already cleared its candidate
+    // (version 0); one that lands later finds `version` staged and is
+    // dropped. Either way exactly one of the two records the replaced one.
+    replaced = snapshot_->candidate_version;
     publish_locked({snapshot_->incumbent, std::move(table), version});
   }
   {
@@ -479,6 +498,17 @@ void PolicyServer::stage_candidate(std::unique_ptr<rl::RlGovernor> candidate,
     rollout_state_.store(
         static_cast<std::uint8_t>(policy::RolloutState::Canary),
         std::memory_order_release);
+  }
+  // A canary staged away before its verdict goes back to the candidates.
+  if (registry_ && replaced != 0 && replaced != version) {
+    try {
+      const auto meta = registry_->meta(replaced);
+      if (meta && meta->status == policy::PolicyStatus::Canary) {
+        registry_->set_status(replaced, policy::PolicyStatus::Candidate);
+      }
+    } catch (const std::exception& ex) {
+      PMRL_WARN("serve") << "registry status update failed: " << ex.what();
+    }
   }
   emit_rollout_trace("canary_start", version);
 }
@@ -497,6 +527,10 @@ bool PolicyServer::stage_candidate_from_registry(std::string* error) {
     }
     version = *latest;
   }
+  // An older entry never replaces the staged canary: the canary it would
+  // displace goes back to the candidates, and the next reload would swap
+  // the two again.
+  if (version < candidate_version()) return true;
   auto staged = make_governor();
   try {
     registry_->load(version, *staged);
@@ -575,7 +609,9 @@ void PolicyServer::note_queue_depth(std::ptrdiff_t delta) {
 
 void PolicyServer::shard_loop(Shard& shard) {
   Worker& worker = shard.worker;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns;
+  std::unordered_map<int, std::unique_ptr<Connection>> conns;
+  // Closed connections the ring may still refer to; freed once it drains.
+  std::vector<std::unique_ptr<Connection>> closed;
   std::vector<pollfd> fds;
   std::vector<int> ready;
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -586,8 +622,8 @@ void PolicyServer::shard_loop(Shard& shard) {
       fds.push_back({shard.tcp_listen_fd, POLLIN, 0});
     }
     for (const auto& [fd, conn] : conns) fds.push_back({fd, POLLIN, 0});
-    const bool work_ready = !worker.pending.empty() &&
-                            !paused_.load(std::memory_order_acquire);
+    const bool work_ready =
+        worker.count != 0 && !paused_.load(std::memory_order_acquire);
     const int n = ::poll(fds.data(), fds.size(), work_ready ? 0 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -615,7 +651,7 @@ void PolicyServer::shard_loop(Shard& shard) {
             ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one,
                          sizeof(one));
           }
-          auto conn = std::make_shared<Connection>(client);
+          auto conn = std::make_unique<Connection>(client);
           conn->canary = policy::RolloutController::routes_to_candidate(
               conn_seq_.fetch_add(1, std::memory_order_relaxed),
               config_.rollout.canary_pct, config_.rollout.route_salt);
@@ -629,10 +665,14 @@ void PolicyServer::shard_loop(Shard& shard) {
     for (const int fd : ready) {
       const auto it = conns.find(fd);
       if (it == conns.end()) continue;
-      handle_readable(worker, it->second);
-      if (!it->second->open) conns.erase(it);
+      handle_readable(worker, it->second.get());
+      if (!it->second->open) {
+        closed.push_back(std::move(it->second));
+        conns.erase(it);
+      }
     }
     if (!paused_.load(std::memory_order_acquire)) process_pending(worker);
+    if (worker.count == 0) closed.clear();
   }
 }
 
@@ -664,10 +704,16 @@ void PolicyServer::shm_loop(ShmWorker& shm_worker) {
       ShmRing ring = shm_->request_ring(l);
       char buf[4096];
       std::size_t got;
+      const std::size_t before = rx[l].size();
       while ((got = ring.read_some(buf, sizeof buf)) > 0) {
         rx[l].append(buf, got);
-        did_work = true;
       }
+      // Every frame is decoded in the pass that completes it, so a lane
+      // that read nothing has nothing to decode.
+      if (rx[l].size() == before) continue;
+      did_work = true;
+      const std::size_t queued = worker.count;
+      worker.received = std::chrono::steady_clock::now();
       for (;;) {
         util::Frame frame;
         const auto status = util::decode_frame(rx[l], rx_off[l], frame);
@@ -696,13 +742,13 @@ void PolicyServer::shm_loop(ShmWorker& shm_worker) {
         }
         handle_frame(worker, nullptr, static_cast<std::uint32_t>(l), frame);
       }
+      end_pass(worker, queued);
       if (rx_off[l] > 4096 && rx_off[l] * 2 > rx[l].size()) {
         rx[l].erase(0, rx_off[l]);
         rx_off[l] = 0;
       }
     }
-    if (!paused_.load(std::memory_order_acquire) &&
-        !worker.pending.empty()) {
+    if (!paused_.load(std::memory_order_acquire) && worker.count != 0) {
       process_pending(worker);
       did_work = true;
     }
@@ -716,8 +762,7 @@ void PolicyServer::shm_loop(ShmWorker& shm_worker) {
   }
 }
 
-void PolicyServer::handle_readable(Worker& worker,
-                                   const std::shared_ptr<Connection>& conn) {
+void PolicyServer::handle_readable(Worker& worker, Connection* conn) {
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof buf, 0);
@@ -735,6 +780,8 @@ void PolicyServer::handle_readable(Worker& worker,
     conn->open = false;
     return;
   }
+  const std::size_t queued = worker.count;
+  worker.received = std::chrono::steady_clock::now();
   while (conn->open) {
     util::Frame frame;
     const auto status = util::decode_frame(conn->rx, conn->rx_off, frame);
@@ -752,10 +799,11 @@ void PolicyServer::handle_readable(Worker& worker,
                                      util::frame_status_name(status)});
       send_bytes(conn, out);
       conn->open = false;
-      return;
+      break;
     }
     handle_frame(worker, conn, kNoLane, frame);
   }
+  end_pass(worker, queued);
   // Reclaim the parsed prefix once it dominates the buffer.
   if (conn->rx_off > 4096 && conn->rx_off * 2 > conn->rx.size()) {
     conn->rx.erase(0, conn->rx_off);
@@ -763,8 +811,7 @@ void PolicyServer::handle_readable(Worker& worker,
   }
 }
 
-void PolicyServer::handle_frame(Worker& worker,
-                                const std::shared_ptr<Connection>& conn,
+void PolicyServer::handle_frame(Worker& worker, Connection* conn,
                                 std::uint32_t lane, const util::Frame& frame) {
   std::string out;
   switch (static_cast<MsgType>(frame.type)) {
@@ -829,8 +876,7 @@ void PolicyServer::handle_frame(Worker& worker,
   }
 }
 
-void PolicyServer::handle_report(Worker& worker,
-                                 const std::shared_ptr<Connection>& conn,
+void PolicyServer::handle_report(Worker& worker, Connection* conn,
                                  std::uint32_t lane,
                                  const util::Frame& frame) {
   std::string out;
@@ -889,22 +935,21 @@ void PolicyServer::handle_report(Worker& worker,
   send_to(conn, lane, out);
 }
 
-void PolicyServer::enqueue_or_shed(Worker& worker,
-                                   const std::shared_ptr<Connection>& conn,
+void PolicyServer::enqueue_or_shed(Worker& worker, Connection* conn,
                                    std::uint32_t lane,
                                    const QueryMsg& query) {
-  if (requests_counter_) requests_counter_->inc();
+  ++worker.decoded;
   if (!stopping_.load(std::memory_order_relaxed) &&
-      worker.pending.size() < config_.queue_capacity) {
+      worker.count < worker.ring.size()) {
     const bool canary =
         conn ? conn->canary
              : policy::RolloutController::routes_to_candidate(
                    kLaneRouteBase + lane, config_.rollout.canary_pct,
                    config_.rollout.route_salt);
-    worker.pending.push_back(
-        Pending{conn, lane, canary, query,
-                std::chrono::steady_clock::now()});
-    note_queue_depth(1);
+    std::size_t slot = worker.head + worker.count;
+    if (slot >= worker.ring.size()) slot -= worker.ring.size();
+    worker.ring[slot] = Pending{conn, lane, canary, query, worker.received};
+    ++worker.count;
     return;
   }
   // Overload: degrade, don't drop. The client gets an immediate
@@ -918,46 +963,50 @@ void PolicyServer::enqueue_or_shed(Worker& worker,
   responses_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PolicyServer::process_pending(Worker& worker) {
-  while (!worker.pending.empty() &&
-         !stopping_.load(std::memory_order_relaxed)) {
-    const std::size_t take =
-        std::min(worker.pending.size(), config_.batch_max);
-    worker.batch.clear();
-    for (std::size_t i = 0; i < take; ++i) {
-      worker.batch.push_back(std::move(worker.pending.front()));
-      worker.pending.pop_front();
-    }
-    note_queue_depth(-static_cast<std::ptrdiff_t>(take));
-    process_batch(worker);
-  }
+void PolicyServer::end_pass(Worker& worker, std::size_t queued_before) {
+  if (worker.decoded == 0) return;
+  if (requests_counter_) requests_counter_->inc(worker.decoded);
+  worker.decoded = 0;
+  note_queue_depth(static_cast<std::ptrdiff_t>(worker.count - queued_before));
 }
 
-void PolicyServer::process_batch(Worker& worker) {
-  auto& batch = worker.batch;
-  if (batch.empty()) return;
+void PolicyServer::process_pending(Worker& worker) {
+  // Each batch is a contiguous slice of the ring, so one that reaches the
+  // ring's end stops there and the next starts at slot 0.
+  while (worker.count != 0 && !stopping_.load(std::memory_order_relaxed)) {
+    const std::size_t take = std::min(
+        {worker.count, config_.batch_max, worker.ring.size() - worker.head});
+    process_batch(worker, take);
+    worker.head += take;
+    if (worker.head == worker.ring.size()) worker.head = 0;
+    worker.count -= take;
+    note_queue_depth(-static_cast<std::ptrdiff_t>(take));
+  }
+  flush_tx(worker);
+}
+
+void PolicyServer::process_batch(Worker& worker, std::size_t take) {
+  const std::span<const Pending> batch(worker.ring.data() + worker.head,
+                                       take);
   const auto t0 = std::chrono::steady_clock::now();
   const auto snapshot = this->snapshot();
   const bool canary_on = snapshot->candidate_version != 0;
   const auto now = std::chrono::steady_clock::now();
   // Respond in arrival order, coalescing consecutive responses to the
-  // same target into one send: a pipelined client's whole batch costs a
-  // single syscall (or one ring reservation) instead of one per decision.
-  std::string& out = worker.tx;
-  out.clear();
-  const Pending* target = nullptr;
+  // same target into one send, across the batches of the pass: a
+  // pipelined client's whole pass costs a single syscall (or one ring
+  // reservation) instead of one per decision or per batch.
   std::uint32_t first_action = 0;
   for (const Pending& pending : batch) {
-    if (target && (pending.conn != target->conn ||
-                   pending.lane != target->lane)) {
-      send_to(target->conn, target->lane, out);
-      out.clear();
+    if (worker.tx_to && (pending.conn != worker.tx_to->conn ||
+                         pending.lane != worker.tx_to->lane)) {
+      flush_tx(worker);
     }
-    target = &pending;
+    worker.tx_to = &pending;
     const bool use_candidate = canary_on && pending.canary;
     ResponseMsg msg{pending.query.request_id, 0,
                     use_candidate ? kRespCanary : std::uint16_t{0}};
-    if (now - pending.enqueued > config_.request_timeout) {
+    if (now - pending.received > config_.request_timeout) {
       // Stale decision = wrong decision: a DVFS answer for a 50 ms old
       // state is worthless, so degrade to the safe default instead.
       msg.action = safe_default_action();
@@ -973,15 +1022,14 @@ void PolicyServer::process_batch(Worker& worker) {
                   : worker.lane_decided_by[pending.lane]) =
         msg.flags == kRespCanary ? snapshot->candidate_version : 0;
     if (&pending == &batch.front()) first_action = msg.action;
-    append_response(out, msg);
+    append_response(worker.tx, msg);
   }
-  send_to(target->conn, target->lane, out);
   responses_.fetch_add(batch.size(), std::memory_order_relaxed);
   const auto t1 = std::chrono::steady_clock::now();
   if (latency_hist_) {
     for (const Pending& pending : batch) {
       latency_hist_->observe(
-          std::chrono::duration<double>(t1 - pending.enqueued).count());
+          std::chrono::duration<double>(t1 - pending.received).count());
     }
   }
   if (batch_size_hist_) {
@@ -992,8 +1040,14 @@ void PolicyServer::process_batch(Worker& worker) {
                    batch.front().query.state, first_action);
 }
 
-void PolicyServer::send_to(const std::shared_ptr<Connection>& conn,
-                           std::uint32_t lane, const std::string& bytes) {
+void PolicyServer::flush_tx(Worker& worker) {
+  if (worker.tx_to) send_to(worker.tx_to->conn, worker.tx_to->lane, worker.tx);
+  worker.tx.clear();
+  worker.tx_to = nullptr;
+}
+
+void PolicyServer::send_to(Connection* conn, std::uint32_t lane,
+                           const std::string& bytes) {
   if (conn) {
     send_bytes(conn, bytes);
   } else if (lane != kNoLane) {
@@ -1001,8 +1055,7 @@ void PolicyServer::send_to(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void PolicyServer::send_bytes(const std::shared_ptr<Connection>& conn,
-                              const std::string& bytes) {
+void PolicyServer::send_bytes(Connection* conn, const std::string& bytes) {
   if (!conn || !conn->open) return;
   std::size_t off = 0;
   while (off < bytes.size()) {

@@ -13,13 +13,23 @@
 //     kernel spreads connections over shards)      lanes (adaptive spin/
 //   shared UDS listener (accept-raced,             sleep backoff)
 //     non-blocking; EAGAIN losers move on)       same decide path
-//   read -> frame-decode -> validate
-//   enqueue on the shard's own pending deque
+//   receive pass per readable connection:
+//     read -> one clock read -> frame-decode
+//     -> validate -> stamp and enqueue on the
+//     shard's fixed request ring
 //     (shed on full: safe default, never a drop)
-//   process inline: micro-batch -> one action
-//     table read per request -> responses
-//     coalesced per connection (one send per
-//     conn per batch)
+//   process inline: micro-batches, each a
+//     contiguous slice of the ring decided in
+//     place with one action table read per
+//     request; answers to one connection
+//     coalesce across the batches of a pass
+//     (one send per connection per pass)
+//
+// Queue bookkeeping is per pass, not per request: a receive pass reads the
+// clock once and moves the request counter and queue-depth gauge once, and
+// a batch moves them once more. The ring holds raw connection pointers, so
+// a shard parks a connection that closes until its ring no longer refers
+// to it.
 //
 // A frozen tabular policy has exactly one greedy action per (agent,
 // state), so every answer the service can give is fixed when a policy is
@@ -35,8 +45,8 @@
 //
 // Robustness semantics mirror the watchdog's graceful-degradation stance:
 // once started, the service degrades instead of failing (start() itself
-// fails closed on a configured policy that does not load). A full pending
-// queue (bounded per shard) or an expired per-request deadline answers
+// fails closed on a configured policy that does not load). A full request
+// ring (queue_capacity slots per shard) or an expired deadline answers
 // with the safe-default action (all-hold) and the kRespSafeDefault flag —
 // the client always gets a usable decision and the connection never
 // drops.
@@ -53,7 +63,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -104,13 +113,17 @@ struct ServerConfig {
   /// Shard threads: each runs its own accept/read/decide poll loop.
   std::size_t workers = 4;
   /// Max requests decided per snapshot read. A shard batches whatever its
-  /// sockets had in flight, capped at this.
+  /// sockets had in flight, capped at this and at the end of its ring; the
+  /// answers of consecutive batches to one connection still go out in one
+  /// send.
   std::size_t batch_max = 32;
-  /// Bounded pending queue per shard; a Query arriving on a full queue is
-  /// shed (answered immediately with the safe-default action).
+  /// Slots in each shard's (and shm worker's) request ring, allocated once
+  /// at start(); a Query arriving on a full ring is shed (answered
+  /// immediately with the safe-default action).
   std::size_t queue_capacity = 1024;
-  /// Requests older than this when processed are answered with the
-  /// safe-default action instead of a stale decision.
+  /// Requests older than this when decided are answered with the
+  /// safe-default action instead of a stale decision. A request's age
+  /// counts from the clock read of the receive pass that decoded it.
   std::chrono::milliseconds request_timeout{50};
 
   /// Policy checkpoint path; loaded at start() and on every reload. Empty
@@ -128,7 +141,8 @@ struct ServerConfig {
   /// an empty policy_path, the incumbent loads from the registry's CURRENT
   /// pointer (start() throws when that entry does not load); with
   /// rollout.canary_pct > 0 a candidate is staged from the registry at
-  /// start() and on every reload (SIGHUP).
+  /// start() and on every reload (SIGHUP); a reload never stages an older
+  /// entry over the staged canary.
   std::string registry_dir;
   /// Registry version to canary; 0 picks the latest candidate entry.
   std::uint64_t candidate_version = 0;
@@ -179,13 +193,15 @@ class PolicyServer {
 
   /// Drain control for tests and maintenance: paused workers keep
   /// reading and shedding but stop deciding (arrivals still enqueue,
-  /// then shed once a shard's queue fills).
+  /// then shed once a shard's ring fills).
   void pause_workers();
   void resume_workers();
 
   /// Stages `candidate`'s action table for canary serving as registry
   /// version `version` (>= 1) and starts the rollout evaluator. Works
-  /// before start(); thread-safe; replaces any candidate already staged.
+  /// before start(); thread-safe; replaces any candidate already staged,
+  /// and a registry canary replaced before its verdict goes back to
+  /// candidate status.
   /// Throws std::invalid_argument on a null or misshapen candidate or
   /// version 0. Used by tests and the registry path.
   void stage_candidate(std::unique_ptr<rl::RlGovernor> candidate,
@@ -238,27 +254,29 @@ class PolicyServer {
   std::shared_ptr<const ActionSnapshot> snapshot() const;
   void shard_loop(Shard& shard);
   bool stage_candidate_from_registry(std::string* error);
-  void handle_report(Worker& worker,
-                     const std::shared_ptr<Connection>& conn,
-                     std::uint32_t lane, const util::Frame& frame);
+  void handle_report(Worker& worker, Connection* conn, std::uint32_t lane,
+                     const util::Frame& frame);
   /// Applies a verdict on candidate `version`; dropped once another is staged.
   void finish_rollout(policy::RolloutDecision decision,
                       std::uint64_t version);
   void emit_rollout_trace(const char* what, std::uint64_t version);
   void shm_loop(ShmWorker& worker);
-  void handle_readable(Worker& worker,
-                       const std::shared_ptr<Connection>& conn);
-  void handle_frame(Worker& worker, const std::shared_ptr<Connection>& conn,
-                    std::uint32_t lane, const util::Frame& frame);
-  void enqueue_or_shed(Worker& worker,
-                       const std::shared_ptr<Connection>& conn,
-                       std::uint32_t lane, const QueryMsg& query);
+  void handle_readable(Worker& worker, Connection* conn);
+  void handle_frame(Worker& worker, Connection* conn, std::uint32_t lane,
+                    const util::Frame& frame);
+  void enqueue_or_shed(Worker& worker, Connection* conn, std::uint32_t lane,
+                       const QueryMsg& query);
+  /// Counts a receive pass once: its decoded queries and its queue growth
+  /// since the ring held `queued_before` requests.
+  void end_pass(Worker& worker, std::size_t queued_before);
   void process_pending(Worker& worker);
-  void process_batch(Worker& worker);
-  void send_to(const std::shared_ptr<Connection>& conn, std::uint32_t lane,
+  /// Decides the `take` requests at the ring's head in place.
+  void process_batch(Worker& worker, std::size_t take);
+  /// Sends the worker's outgoing buffer to its target and empties it.
+  void flush_tx(Worker& worker);
+  void send_to(Connection* conn, std::uint32_t lane,
                const std::string& bytes);
-  void send_bytes(const std::shared_ptr<Connection>& conn,
-                  const std::string& bytes);
+  void send_bytes(Connection* conn, const std::string& bytes);
   void send_lane(std::uint32_t lane, const std::string& bytes);
   std::uint32_t safe_default_action() const { return safe_action_; }
   void emit_batch_trace(std::size_t batch_size, double latency_s,

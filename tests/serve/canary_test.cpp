@@ -5,14 +5,16 @@
 // a better one must promote. After every transition both cohorts are swept
 // over every (agent, state) against the governor their arm should serve.
 // Credit and verdicts bind to the candidate that decided: a report on an
-// earlier candidate's answer or on a safe default earns no credit, and a
-// verdict on a candidate that was staged away is dropped.
+// earlier candidate's answer or on a safe default earns no credit, a
+// verdict on a candidate that was staged away is dropped, and that
+// candidate goes back to candidate status in the registry.
 // Runs whole under TSan with the rest of test_serve
 // (acceptor/worker/report/verdict thread choreography).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -364,6 +366,33 @@ TEST(CanaryRollout, VerdictOnAnEarlierCandidateIsDropped) {
   policy::PolicyRegistry registry(dir);
   EXPECT_EQ(registry.meta(3)->status, policy::PolicyStatus::Canary);
   EXPECT_EQ(registry.current(), 1u);
+  server.stop();
+}
+
+// A canary staged away before its verdict goes back to the candidates, and
+// a later reload does not stage that older entry over the newer canary: the
+// registry keeps exactly one canary, the one being served.
+TEST(CanaryRollout, CanaryStagedAwayBeforeItsVerdictReturnsToCandidate) {
+  const auto dir = test_registry_dir();
+  seed_registry(dir);
+  serve::PolicyServer server(canary_config(dir));
+  server.start();
+  ASSERT_EQ(server.candidate_version(), 2u);
+  ASSERT_NO_FATAL_FAILURE(stage_v3(dir, server));
+  policy::PolicyRegistry registry(dir);
+  EXPECT_EQ(registry.meta(2)->status, policy::PolicyStatus::Candidate);
+  EXPECT_EQ(registry.meta(3)->status, policy::PolicyStatus::Canary);
+
+  EXPECT_TRUE(server.request_reload());
+  EXPECT_EQ(server.candidate_version(), 3u);
+  EXPECT_EQ(server.rollout_state(), policy::RolloutState::Canary);
+  std::vector<std::uint64_t> canaries;
+  for (const auto& entry : registry.list()) {
+    if (entry.status == policy::PolicyStatus::Canary) {
+      canaries.push_back(entry.version);
+    }
+  }
+  EXPECT_EQ(canaries, std::vector<std::uint64_t>{3});
   server.stop();
 }
 

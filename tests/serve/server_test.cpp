@@ -1,6 +1,7 @@
 // PolicyServer loopback integration: request/response over UDS and TCP,
 // corruption handling, hot reload (every (agent, state) swept after the
-// swap), overload shedding, and per-request timeout degradation.
+// swap), overload shedding, per-request timeout degradation, and the
+// request ring (wrap-around order, connections closed with queries queued).
 // Everything runs in one process over loopback sockets, so these tests
 // double as the TSan gate for the acceptor/worker/reload thread
 // choreography.
@@ -10,12 +11,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -263,6 +266,111 @@ TEST(PolicyServer, OverloadShedsSafeDefaultsWithoutDrops) {
     EXPECT_FALSE(msg.flags & serve::kRespSafeDefault);
     EXPECT_EQ(msg.action, 2u);
   }
+  server.stop();
+}
+
+// The request ring holds raw connection pointers. A connection that closes
+// with queries still queued is parked until the ring drains, so deciding
+// them after the close reads no freed connection (the ASan and TSan gate),
+// and the shard goes on serving.
+TEST(PolicyServer, ClosedConnectionOutlivesItsQueuedQueries) {
+  auto config = base_config();
+  config.workers = 1;
+  const auto governor = marked_governor(3, 2);
+  serve::PolicyServer server(config, &governor);
+  server.start();
+  server.pause_workers();
+  constexpr std::size_t kQueued = 10;
+  {
+    auto leaver = serve::Client::connect_uds(config.uds_path);
+    for (std::size_t i = 0; i < kQueued; ++i) (void)leaver.send_query(3);
+  }
+  // Pings are answered while paused. The shard reads the leaver's queries
+  // no later than the first ping, and its close no later than the second.
+  auto client = serve::Client::connect_uds(config.uds_path);
+  ASSERT_TRUE(client.ping(1));
+  ASSERT_TRUE(client.ping(2));
+  server.resume_workers();
+  const auto result = client.query(3);
+  EXPECT_EQ(result.action, 2u);
+  EXPECT_FALSE(result.safe_default);
+  // The leaver's queries were decided after it closed, then dropped unsent.
+  EXPECT_EQ(server.responses(), kQueued + 1);
+  server.stop();
+}
+
+// A ring of 7 slots decided 3 at a time: a batch stops at the ring's end,
+// and rounds of pipelined queries walk the head around the ring, some
+// rounds over capacity. While workers are paused the first 7 of a round
+// queue and the rest are shed at once; after resume_workers() the queued
+// ones are answered in request order with their greedy action. Then an
+// unpaused burst: every request gets exactly one answer, greedy or shed,
+// and each kind arrives in request order.
+TEST(PolicyServer, RequestRingWrapsInRequestOrder) {
+  auto config = base_config();
+  config.workers = 1;
+  config.queue_capacity = 7;
+  config.batch_max = 3;
+  rl::RlGovernor governor(config.governor, config.cluster_count);
+  test::seed_varied_actions(governor);
+  const auto greedy = [&](std::uint64_t state) {
+    return static_cast<std::uint32_t>(governor.agent(0).greedy_action(state));
+  };
+  serve::PolicyServer server(config, &governor);
+  server.start();
+  auto client = serve::Client::connect_uds(config.uds_path);
+  const std::size_t states = governor.agent(0).state_count();
+  std::uint64_t next_state = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sent;  // id, state
+  const auto send_burst = [&](std::size_t count) {
+    sent.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t state = (next_state++ * 7) % states;
+      sent.emplace_back(client.send_query(state), state);
+    }
+  };
+  for (const std::size_t round : {5, 12, 3, 11, 6, 10, 4, 9}) {
+    server.pause_workers();
+    send_burst(round);
+    const std::size_t queued = std::min(round, config.queue_capacity);
+    for (std::size_t i = queued; i < round; ++i) {
+      const auto msg = client.recv_response();
+      EXPECT_EQ(msg.request_id, sent[i].first) << "round " << round;
+      EXPECT_EQ(msg.flags, serve::kRespSafeDefault);
+      EXPECT_EQ(msg.action, 0u);
+    }
+    server.resume_workers();
+    for (std::size_t i = 0; i < queued; ++i) {
+      const auto msg = client.recv_response();
+      EXPECT_EQ(msg.request_id, sent[i].first) << "round " << round;
+      EXPECT_EQ(msg.flags, 0u);
+      EXPECT_EQ(msg.action, greedy(sent[i].second));
+    }
+  }
+
+  constexpr std::size_t kBurst = 200;
+  send_burst(kBurst);
+  std::size_t next_greedy = 0;
+  std::size_t next_shed = 0;
+  std::vector<int> answers(kBurst, 0);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const auto msg = client.recv_response();
+    const std::size_t index = msg.request_id - sent.front().first;
+    ASSERT_LT(index, kBurst);
+    ++answers[index];
+    if (msg.flags == serve::kRespSafeDefault) {
+      EXPECT_GE(index, next_shed);
+      next_shed = index + 1;
+      EXPECT_EQ(msg.action, 0u);
+    } else {
+      EXPECT_GE(index, next_greedy);
+      next_greedy = index + 1;
+      EXPECT_EQ(msg.flags, 0u);
+      EXPECT_EQ(msg.action, greedy(sent[index].second));
+    }
+  }
+  EXPECT_EQ(std::count(answers.begin(), answers.end(), 1),
+            static_cast<std::ptrdiff_t>(kBurst));
   server.stop();
 }
 
